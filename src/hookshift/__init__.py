@@ -47,7 +47,6 @@ from .schur import (
     check_theorem_1_2,
     elementary_as_schur,
     kostka,
-    monomial_times_p1,
     pieri_p1,
     schur_lhs,
     schur_rhs,

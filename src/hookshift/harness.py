@@ -1,11 +1,15 @@
 """Sweep driver: run the identity catalog over all partitions up to a
 bound, in parallel, and emit deterministic machine-readable reports.
 
-The work unit is one (identity, n) pair; a worker enumerates the
-partitions of n itself, so nothing large crosses process boundaries.
-Results are merged by a deterministic sort, which makes report contents
-independent of worker count and completion order.  Wall-clock time lives
-in a separate "timing" object excluded from the determinism guarantee.
+The work unit is one size n over all selected identities: a worker
+enumerates the partitions of n once and runs every identity on each,
+through one Workspace that builds each partition's data once and is
+dropped with the unit.  Only bounds and the fault cross process
+boundaries, and a unit returns one row per identity.  Schur-identity
+checks run as one unit per degree.  Results are merged by a
+deterministic sort, which makes report contents independent of worker
+count and completion order.  Wall-clock time lives in a separate "timing"
+object excluded from the determinism guarantee.
 """
 
 from __future__ import annotations
@@ -51,6 +55,11 @@ class SweepConfig:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.max_n_oracles > self.max_n_identities:
             raise ValueError("oracle bound must not exceed the identity bound")
+        if self.fault is not None and self.fault.partition.size > self.max_n_identities:
+            raise ValueError(
+                f"fault partition {self.fault.partition} lies beyond "
+                f"max_n_identities={self.max_n_identities}, so the sweep could not reach it"
+            )
         if self.output_format not in _FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
         if self.identities != "all":
@@ -134,67 +143,33 @@ class SweepReport:
         }
 
 
-# Worker-side state: one workspace per process, built from the fault once.
-_WORKER: dict = {}
-
-
-def _init_worker(fault: Fault | None, capture: bool, max_n_oracles: int, thm_limit: int):
-    _WORKER["workspace"] = Workspace(fault)
-    _WORKER["capture"] = capture
-    _WORKER["max_n_oracles"] = max_n_oracles
-    _WORKER["thm_limit"] = thm_limit
-
-
-def _run_task(task: tuple) -> dict:
-    kind, name, n = task
-    if kind == "identity":
-        return _identity_task(name, n)
-    return _theorem_task(n)
-
-
-def _identity_task(name: str, n: int) -> dict:
-    identity = IdentityId(name)
-    ws = _WORKER["workspace"]
-    capture = _WORKER["capture"]
-    checked = passed = 0
-    failures: list[dict] = []
-    witnesses: list[dict] = []
+def _identity_unit(
+    n: int, identities: tuple[IdentityId, ...], fault: Fault | None, capture: bool
+) -> list[dict]:
+    ws = Workspace(fault)
+    rows = []
+    for identity in identities:
+        row = {"identity": identity.value, "n": n, "checked": 0, "passed": 0, "failures": []}
+        if capture:
+            row["witnesses"] = []
+        rows.append(row)
     for lam in enumerate_partitions(n):
-        for outcome in check_identity(identity, lam, ws, capture=capture):
-            checked += 1
-            if outcome.passed:
-                passed += 1
-                if capture:
-                    witnesses.append(outcome.to_json())
-            else:
-                failures.append(_failure_json(outcome))
-    row = {
-        "kind": "identity",
-        "identity": identity.value,
-        "n": n,
-        "checked": checked,
-        "passed": passed,
-        "failures": failures,
-    }
-    if capture:
-        row["witnesses"] = witnesses
-    return row
+        for identity, row in zip(identities, rows):
+            for outcome in check_identity(identity, lam, ws, capture=capture):
+                row["checked"] += 1
+                if outcome.passed:
+                    row["passed"] += 1
+                    if capture:
+                        row["witnesses"].append(outcome.to_json())
+                else:
+                    failure = outcome.to_json()
+                    del failure["status"]
+                    row["failures"].append(failure)
+    return rows
 
 
-def _failure_json(outcome) -> dict:
-    as_json = outcome.to_json()
-    return {
-        "identity": as_json["identity"],
-        "partition": as_json["partition"],
-        "corner_index": as_json["corner_index"],
-        "lhs": as_json["lhs"],
-        "rhs": as_json["rhs"],
-    }
-
-
-def _theorem_task(n: int) -> dict:
-    thm_limit = _WORKER["thm_limit"]
-    row: dict = {"kind": "theorem", "n": n}
+def _theorem_unit(n: int, thm_limit: int, max_n_oracles: int) -> list[dict]:
+    row: dict = {"n": n}
     eq = check_theorem_1_2(n, limit=thm_limit)
     row["equality"] = eq.status
     if not eq.passed:
@@ -206,18 +181,18 @@ def _theorem_task(n: int) -> dict:
             row["recurrences_witness"] = {"lhs": rec.lhs, "rhs": rec.rhs}
     else:
         row["recurrences"] = None
-    if n <= _WORKER["max_n_oracles"]:
-        same = to_monomial(schur_lhs(n), limit=_WORKER["max_n_oracles"]) == to_monomial(
-            schur_rhs(n), limit=_WORKER["max_n_oracles"]
+    if n <= max_n_oracles:
+        same = to_monomial(schur_lhs(n), limit=max_n_oracles) == to_monomial(
+            schur_rhs(n), limit=max_n_oracles
         )
         row["oracle"] = "pass" if same else "fail"
     else:
         row["oracle"] = None
-    return row
+    return [row]
 
 
 def _task_failed(row: dict) -> bool:
-    if row["kind"] == "identity":
+    if "identity" in row:
         return bool(row["failures"])
     return "fail" in (row["equality"], row["recurrences"], row["oracle"])
 
@@ -227,57 +202,47 @@ def run_sweep(config: SweepConfig) -> SweepReport:
 
     Verification failures are data in the report, not errors.  With
     fail_fast, outstanding work is cancelled after the first failing work
-    unit, so such a report covers only the units that finished.
+    unit, so such a report covers only the units that finished: whole
+    sizes of the identity sweep, and whole Schur degrees.
     """
     start = time.perf_counter()
-    selected = config.selected_identities()
-    tasks: list[tuple] = [
-        ("identity", identity.value, n)
-        for identity in selected
+    units: list[tuple] = [
+        (_identity_unit, n, config.selected_identities(), config.fault, config.capture_witnesses)
         for n in range(1, config.max_n_identities + 1)
     ]
-    tasks += [("theorem", "", n) for n in range(config.max_n_theorem_1_2 + 1)]
-
-    init_args = (
-        config.fault,
-        config.capture_witnesses,
-        config.max_n_oracles,
-        config.max_n_theorem_1_2,
-    )
+    units += [
+        (_theorem_unit, n, config.max_n_theorem_1_2, config.max_n_oracles)
+        for n in range(config.max_n_theorem_1_2 + 1)
+    ]
     rows: list[dict] = []
     if config.workers() == 1:
-        _init_worker(*init_args)
-        for task in tasks:
-            row = _run_task(task)
-            rows.append(row)
-            if config.fail_fast and _task_failed(row):
+        for fn, *args in units:
+            unit_rows = fn(*args)
+            rows += unit_rows
+            if config.fail_fast and any(map(_task_failed, unit_rows)):
                 break
     else:
-        with ProcessPoolExecutor(
-            max_workers=config.workers(), initializer=_init_worker, initargs=init_args
-        ) as pool:
-            pending = {pool.submit(_run_task, task) for task in tasks}
+        with ProcessPoolExecutor(max_workers=config.workers()) as pool:
+            pending = {pool.submit(*unit) for unit in units}
             stop = False
             while pending and not stop:
                 done, pending = wait(pending, return_when=FIRST_COMPLETED)
                 for fut in done:
-                    row = fut.result()
-                    rows.append(row)
-                    if config.fail_fast and _task_failed(row):
+                    unit_rows = fut.result()
+                    rows += unit_rows
+                    if config.fail_fast and any(map(_task_failed, unit_rows)):
                         stop = True
                 for fut in pending if stop else ():
                     fut.cancel()
 
     order = {identity.value: k for k, identity in enumerate(CATALOG)}
     identity_rows = sorted(
-        (r for r in rows if r["kind"] == "identity"),
+        (r for r in rows if "identity" in r),
         key=lambda r: (order[r["identity"]], r["n"]),
     )
     theorem_rows = sorted(
-        (r for r in rows if r["kind"] == "theorem"), key=lambda r: r["n"]
+        (r for r in rows if "identity" not in r), key=lambda r: r["n"]
     )
-    for row in identity_rows + theorem_rows:
-        del row["kind"]
     return SweepReport(
         config=config,
         identity_rows=identity_rows,
@@ -321,7 +286,7 @@ def _render_text(report: SweepReport) -> str:
     if report.theorem_rows:
         worst = "ok"
         for row in report.theorem_rows:
-            if _row_failed_text(row):
+            if _task_failed(row):
                 worst = "FAILED"
         ns = [row["n"] for row in report.theorem_rows]
         lines.append(f"  theorem_1_2 for n in {min(ns)}..{max(ns)}: {worst}")
@@ -331,7 +296,3 @@ def _render_text(report: SweepReport) -> str:
     )
     lines.append(f"wall time: {report.wall_time:.2f}s")
     return "\n".join(lines) + "\n"
-
-
-def _row_failed_text(row: dict) -> bool:
-    return "fail" in (row["equality"], row["recurrences"], row["oracle"])

@@ -15,8 +15,6 @@ for passes on request.
 from __future__ import annotations
 
 import enum
-import functools
-import time
 from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, prod
@@ -104,7 +102,6 @@ class VerificationOutcome:
     status: str  # "pass" | "fail"
     lhs: Witness = None
     rhs: Witness = None
-    elapsed: float = 0.0
 
     @property
     def passed(self) -> bool:
@@ -161,66 +158,90 @@ def shifted_part_constants(lam: Partition) -> list[int]:
     return [lam.part(i) - i for i in range(1, n + 1)]
 
 
-@functools.cache
 def g_poly(lam: Partition) -> ExactPolynomial:
     """Monic degree-n product of (x + part(i) - i), i = 1..n; 1 for n = 0."""
     return product_of_linear_factors(shifted_part_constants(lam))
 
 
-class Workspace:
-    """Compute context for identity checks.
+@dataclass(frozen=True)
+class PartitionContext:
+    """Everything the identity checks read about one nonempty partition.
 
-    Hook products, g-polynomials and tableau counts all flow through one
-    of these.  Without a fault it simply serves the module-level cached
-    functions; with a fault it substitutes the one perturbed value, so a
-    whole sweep can be rerun against a single wrong input.
+    ``h`` and ``g`` are the hook product and g-polynomial of ``lam``,
+    ``g_next`` is g(x+1), and ``mu_h``/``mu_g`` hold the same two values
+    for each corner removal, in in-corner row order.
+    """
+
+    lam: Partition
+    corners: CornerData
+    h: int
+    g: ExactPolynomial
+    g_next: ExactPolynomial
+    mu_h: tuple[int, ...]
+    mu_g: tuple[ExactPolynomial, ...]
+
+
+class Workspace:
+    """Memo of hook products and g-polynomials for one unit of work.
+
+    Every value the checks read is computed once here, on first use, and
+    that is the one place a fault substitutes its perturbed value, so a
+    whole sweep can be rerun against a single wrong input.  Drop the
+    workspace to drop its memo.
     """
 
     def __init__(self, fault: Fault | None = None):
         self.fault = fault
-        self._perturbed_hook: dict[Partition, int] = {}
-        self._perturbed_g: dict[Partition, ExactPolynomial] = {}
+        self._values: dict[Partition, tuple[int, ExactPolynomial]] = {}
+        self._context: PartitionContext | None = None
 
-    def hook_product(self, lam: Partition) -> int:
-        f = self.fault
-        if f is not None and f.kind == "hook" and lam == f.partition:
-            cached = self._perturbed_hook.get(lam)
-            if cached is None:
-                grid = [row[:] for row in hook_lengths(lam)]
-                grid[f.row - 1][f.col - 1] += f.delta
-                cached = prod(h for row in grid for h in row)
-                self._perturbed_hook[lam] = cached
-            return cached
-        return hook_product(lam)
-
-    def g_poly(self, lam: Partition) -> ExactPolynomial:
-        f = self.fault
-        if f is not None and f.kind == "g-factor" and lam == f.partition:
-            cached = self._perturbed_g.get(lam)
-            if cached is None:
+    def _hook_and_g(self, lam: Partition) -> tuple[int, ExactPolynomial]:
+        hit = self._values.get(lam)
+        if hit is None:
+            f = self.fault
+            if f is None or f.partition != lam:
+                hit = hook_product(lam), g_poly(lam)
+            else:
+                hooks = hook_lengths(lam)
                 constants = shifted_part_constants(lam)
-                constants[f.index - 1] += f.delta
-                cached = product_of_linear_factors(constants)
-                self._perturbed_g[lam] = cached
-            return cached
-        return g_poly(lam)
+                if f.kind == "hook":
+                    hooks[f.row - 1][f.col - 1] += f.delta
+                else:
+                    constants[f.index - 1] += f.delta
+                hit = prod(h for row in hooks for h in row), product_of_linear_factors(constants)
+            self._values[lam] = hit
+        return hit
 
-    def syt_count(self, lam: Partition) -> int | Fraction:
-        """n! / hook product, exactly; a Fraction if a fault breaks divisibility."""
-        f = Fraction(factorial(lam.size), self.hook_product(lam))
-        return f.numerator if f.denominator == 1 else f
+    def context(self, lam: Partition) -> PartitionContext:
+        """The context of a nonempty partition; consecutive calls for the
+        same partition share one instance."""
+        if self._context is None or self._context.lam != lam:
+            corners = corner_sets(lam)
+            h, g = self._hook_and_g(lam)
+            removed = [self._hook_and_g(mu) for mu in corners.removal_list]
+            self._context = PartitionContext(
+                lam,
+                corners,
+                h,
+                g,
+                g.shift(1),
+                tuple(h_mu for h_mu, _ in removed),
+                tuple(g_mu for _, g_mu in removed),
+            )
+        return self._context
 
 
 def g_quotient_factors(
-    lam: Partition,
+    lam: Partition, corners: CornerData | None = None
 ) -> tuple[list[ExactPolynomial], list[ExactPolynomial]]:
     """Linear factors of (x - n) g(x+1) / g(x) after cancellation.
 
     Numerator factors (x + part(i) - i + 1) run over the out-corner rows,
     denominator factors (x + part(i) - i) over the in-corner rows, both in
     increasing row order.  The numerator is always one factor longer.
+    ``corners``, when given, must be ``corner_sets(lam)``.
     """
-    corners = corner_sets(lam)
+    corners = corner_sets(lam) if corners is None else corners
     num = [linear(lam.part(i) - i + 1) for i in corners.out_corners]
     den = [linear(lam.part(i) - i) for i in corners.in_corners]
     return num, den
@@ -246,10 +267,11 @@ def corner_quotient_factors(
     return num, den
 
 
-def thm_4_2_numerator(lam: Partition) -> ExactPolynomial:
+def thm_4_2_numerator(lam: Partition, corners: CornerData | None = None) -> ExactPolynomial:
     """The cleared numerator x * prod(in-corner factors) - prod(out-corner
-    factors) of the THM_4_2 right side."""
-    num, den = g_quotient_factors(lam)
+    factors) of the THM_4_2 right side.  ``corners``, when given, must be
+    ``corner_sets(lam)``."""
+    num, den = g_quotient_factors(lam, corners)
     return X * prod(den, start=ONE) - prod(num, start=ONE)
 
 
@@ -259,110 +281,99 @@ def _sides(passed: bool, capture: bool, lhs, rhs) -> tuple[Witness, Witness]:
     return lhs, rhs
 
 
-def _check_thm_1_1(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    g = ws.g_poly(lam)
-    mus = corners.removal_list
-    hooks = [ws.hook_product(mu) for mu in mus]
-    big = prod(hooks)
-    h_lam = ws.hook_product(lam)
-    lhs = (g.shift(1) - g) * big
+def _check_thm_1_1(ctx: PartitionContext, capture: bool):
+    big = prod(ctx.mu_h)
+    lhs = (ctx.g_next - ctx.g) * big
     rhs = ExactPolynomial()
-    for mu, h in zip(mus, hooks):
-        rhs = rhs + ws.g_poly(mu) * (h_lam * (big // h))
+    for g_mu, h in zip(ctx.mu_g, ctx.mu_h):
+        rhs = rhs + g_mu * (ctx.h * (big // h))
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
-def _check_rec_1_2(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    lhs = ws.syt_count(lam)
-    rhs = sum(ws.syt_count(mu) for mu in corners.removal_list)
+def _check_rec_1_2(ctx: PartitionContext, capture: bool):
+    # tableau counts n!/H; Fractions if a fault breaks divisibility
+    n = ctx.lam.size
+    lhs = Fraction(factorial(n), ctx.h)
+    rhs = sum(Fraction(factorial(n - 1), h) for h in ctx.mu_h)
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
-def _check_rec_1_3(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    hooks = [ws.hook_product(mu) for mu in corners.removal_list]
-    big = prod(hooks)
-    lhs = lam.size * big
-    rhs = ws.hook_product(lam) * sum(big // h for h in hooks)
+def _check_rec_1_3(ctx: PartitionContext, capture: bool):
+    big = prod(ctx.mu_h)
+    lhs = ctx.lam.size * big
+    rhs = ctx.h * sum(big // h for h in ctx.mu_h)
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
-def _check_remark_dn(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    q = ws.g_poly(lam) * Fraction(1, ws.hook_product(lam))
-    for _ in range(lam.size):
+def _check_remark_dn(ctx: PartitionContext, capture: bool):
+    n = ctx.lam.size
+    q = ctx.g * Fraction(1, ctx.h)
+    for _ in range(n):
         q = difference(q)
-    rhs = ExactPolynomial((ws.syt_count(lam),))
+    rhs = ExactPolynomial((Fraction(factorial(n), ctx.h),))
     passed = q == rhs
     return [(None, passed, *_sides(passed, capture, q, rhs))]
 
 
-def _check_corner_ratio_2_2(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    h_lam = ws.hook_product(lam)
-    g_lam = ws.g_poly(lam)
+def _check_corner_ratio_2_2(ctx: PartitionContext, capture: bool):
+    lam = ctx.lam
     out = []
-    for i in corners.in_corners:
-        mu = corners.removals[i]
+    for i, h_mu, g_mu in zip(ctx.corners.in_corners, ctx.mu_h, ctx.mu_g):
         a = i - lam.part(i)
-        lhs = h_lam * ws.g_poly(mu)(a)
-        rhs = ws.hook_product(mu) * g_lam(a + 1)
+        lhs = ctx.h * g_mu(a)
+        rhs = h_mu * ctx.g(a + 1)
         passed = lhs == rhs
         out.append((i, passed, *_sides(passed, capture, lhs, rhs)))
     return out
 
 
-def _check_quotient_4_2(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    n = lam.size
-    g_lam = ws.g_poly(lam)
+def _check_quotient_4_2(ctx: PartitionContext, capture: bool):
+    lam = ctx.lam
     out = []
-    for i in corners.in_corners:
+    for i, g_mu in zip(ctx.corners.in_corners, ctx.mu_g):
         c = lam.part(i) - i
-        lhs = ws.g_poly(corners.removals[i]) * linear(c) * linear(-n)
-        rhs = g_lam * linear(c - 1)
+        lhs = g_mu * linear(c) * linear(-lam.size)
+        rhs = ctx.g * linear(c - 1)
         passed = lhs == rhs
         out.append((i, passed, *_sides(passed, capture, lhs, rhs)))
     return out
 
 
-def _corner_sum_factors(lam: Partition, ws: Workspace, corners: CornerData):
+def _corner_sum_factors(ctx: PartitionContext):
     """Shared pieces of the THM_4_1 / THM_4_2 left side, hook-cleared."""
-    hooks = [ws.hook_product(corners.removals[i]) for i in corners.in_corners]
-    big = prod(hooks)
-    h_lam = ws.hook_product(lam)
-    constants = [lam.part(i) - i for i in corners.in_corners]
+    big = prod(ctx.mu_h)
+    constants = [ctx.lam.part(i) - i for i in ctx.corners.in_corners]
     summed = ExactPolynomial()
-    for pos, i in enumerate(corners.in_corners):
+    for pos, h in enumerate(ctx.mu_h):
         others = product_of_linear_factors(
             c for k, c in enumerate(constants) if k != pos
         )
-        summed = summed + others * (h_lam * (big // hooks[pos]))
+        summed = summed + others * (ctx.h * (big // h))
     return summed, big, product_of_linear_factors(constants)
 
 
-def _check_thm_4_1(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    n = lam.size
-    g = ws.g_poly(lam)
-    summed, big, prod_in = _corner_sum_factors(lam, ws, corners)
-    lhs = summed * g
-    rhs = (X * g - linear(-n) * g.shift(1)) * prod_in * big
+def _check_thm_4_1(ctx: PartitionContext, capture: bool):
+    summed, big, prod_in = _corner_sum_factors(ctx)
+    lhs = summed * ctx.g
+    rhs = (X * ctx.g - linear(-ctx.lam.size) * ctx.g_next) * prod_in * big
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
-def _check_eq_4_6(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    n = lam.size
-    g = ws.g_poly(lam)
-    num, den = g_quotient_factors(lam)
-    lhs = linear(-n) * g.shift(1) * prod(den, start=ONE)
-    rhs = g * prod(num, start=ONE)
+def _check_eq_4_6(ctx: PartitionContext, capture: bool):
+    num, den = g_quotient_factors(ctx.lam, ctx.corners)
+    lhs = linear(-ctx.lam.size) * ctx.g_next * prod(den, start=ONE)
+    rhs = ctx.g * prod(num, start=ONE)
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
-def _check_thm_4_2(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    summed, big, _ = _corner_sum_factors(lam, ws, corners)
-    numerator = thm_4_2_numerator(lam)
+def _check_thm_4_2(ctx: PartitionContext, capture: bool):
+    summed, big, _ = _corner_sum_factors(ctx)
+    numerator = thm_4_2_numerator(ctx.lam, ctx.corners)
     passed = summed == numerator * big
     if passed and not capture:
         return [(None, True, None, None)]
@@ -371,14 +382,10 @@ def _check_thm_4_2(lam: Partition, ws: Workspace, corners: CornerData, capture: 
     return [(None, passed, summed * Fraction(1, big), numerator)]
 
 
-def _check_cor_4_4(lam: Partition, ws: Workspace, corners: CornerData, capture: bool):
-    h_lam = ws.hook_product(lam)
-    total = sum(
-        (Fraction(h_lam, ws.hook_product(mu)) for mu in corners.removal_list),
-        start=Fraction(0),
-    )
-    passed = total == lam.size
-    return [(None, passed, *_sides(passed, capture, total, lam.size))]
+def _check_cor_4_4(ctx: PartitionContext, capture: bool):
+    total = sum((Fraction(ctx.h, h) for h in ctx.mu_h), start=Fraction(0))
+    passed = total == ctx.lam.size
+    return [(None, passed, *_sides(passed, capture, total, ctx.lam.size))]
 
 
 _CHECKERS = {
@@ -415,10 +422,6 @@ def check_identity(
     if limit is not None and lam.size > limit:
         raise ValueError(f"|{lam}| = {lam.size} exceeds the size limit {limit}")
     ws = workspace if workspace is not None else Workspace()
-    corners = corner_sets(lam)
-    start = time.perf_counter()
-    raw = _CHECKERS[identity](lam, ws, corners, capture)
-    elapsed = time.perf_counter() - start
     return [
         VerificationOutcome(
             identity=identity.value,
@@ -427,7 +430,6 @@ def check_identity(
             status="pass" if ok else "fail",
             lhs=lhs,
             rhs=rhs,
-            elapsed=elapsed / len(raw),
         )
-        for corner, ok, lhs, rhs in raw
+        for corner, ok, lhs, rhs in _CHECKERS[identity](ws.context(lam), capture)
     ]

@@ -8,7 +8,6 @@ match the usual French-orientation pictures as well.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from math import factorial, prod
 from typing import Iterator, NamedTuple
@@ -39,7 +38,7 @@ class Partition(tuple):
         parts = tuple(parts)
         prev = None
         for p in parts:
-            if not isinstance(p, int) or p <= 0:
+            if isinstance(p, bool) or not isinstance(p, int) or p <= 0:
                 raise PartitionError(f"parts must be positive integers, got {p!r}")
             if prev is not None and p > prev:
                 raise PartitionError(f"parts not weakly decreasing: {parts}")
@@ -200,13 +199,11 @@ def hook_lengths(lam: Partition) -> list[list[int]]:
     ]
 
 
-@functools.cache
 def hook_product(lam: Partition) -> int:
     """Product of all hook lengths; 1 for the empty partition."""
     return prod(h for row in hook_lengths(lam) for h in row)
 
 
-@functools.cache
 def syt_count(lam: Partition) -> int:
     """Number of standard Young tableaux of the shape, via n!/(hook product).
 

@@ -5,7 +5,10 @@ different from the library's, so tests compare two genuinely separate
 derivations.
 """
 
-from hookshift import Partition
+from collections import Counter
+from itertools import permutations
+
+from hookshift import MonomialExpansion, Partition
 
 
 def hook_by_box_count(lam, cell):
@@ -98,3 +101,29 @@ def elementary_value(m, xs):
     from math import prod
 
     return sum(prod(c) for c in combinations(xs, m)) if m <= len(xs) else 0
+
+
+def monomial_times_p1(a: MonomialExpansion) -> MonomialExpansion:
+    """Multiply a monomial expansion by the first power sum directly, by
+    convolving exponent vectors; independent of the Pieri route."""
+    out: dict[Partition, object] = {}
+    for mu, c in a.terms.items():
+        for nu, mult in _monomial_p1_row(tuple(mu)).items():
+            add = c * mult
+            out[nu] = out[nu] + add if nu in out else add
+    return MonomialExpansion(out)
+
+
+def _monomial_p1_row(mu: tuple[int, ...]) -> dict[Partition, int]:
+    # one extra variable is enough: the result has at most len(mu)+1 parts
+    nvars = len(mu) + 1
+    padded = mu + (0,) * (nvars - len(mu))
+    counts: Counter = Counter()
+    for alpha in set(permutations(padded)):
+        for i in range(nvars):
+            counts[alpha[:i] + (alpha[i] + 1,) + alpha[i + 1:]] += 1
+    out = {}
+    for beta, c in counts.items():
+        if all(beta[i] >= beta[i + 1] for i in range(nvars - 1)):
+            out[Partition(p for p in beta if p)] = c
+    return out

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from hookshift import Fault, IdentityId, Partition
+from hookshift import Fault, IdentityId, Partition, parse_partition
 from hookshift.harness import SweepConfig, render_report, run_sweep
 
 
@@ -33,6 +33,13 @@ def test_config_validation():
         SweepConfig(identities=("THM_1_1",))
     with pytest.raises(ValueError):
         SweepConfig(parallelism=0)
+    with pytest.raises(ValueError):
+        # the sweep would never reach the faulted partition
+        SweepConfig(
+            max_n_identities=3,
+            max_n_oracles=3,
+            fault=Fault(kind="hook", partition=Partition((5,)), row=1, col=1),
+        )
 
 
 def test_identity_selection_normalized_to_catalog_order():
@@ -131,6 +138,17 @@ def test_fail_fast_stops_early():
     assert len(fast.identity_rows) + len(fast.theorem_rows) < len(full.identity_rows) + len(
         full.theorem_rows
     )
+
+
+def test_fault_reaches_the_next_size_unit():
+    # the n = 4 unit builds its own Workspace, which must still apply the
+    # fault where (2,1) appears as a corner removal
+    fault = Fault(kind="hook", partition=Partition((2, 1)), row=1, col=1, delta=1)
+    report = run_sweep(small_config(max_n_identities=5, fault=fault))
+    failed_at = {
+        f["partition"] for agg in report.per_identity().values() for f in agg["failures"]
+    }
+    assert {parse_partition(p).size for p in failed_at - {"2,1"}} == {4}
 
 
 def test_fault_crosses_process_boundary():

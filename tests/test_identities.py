@@ -1,5 +1,5 @@
 from fractions import Fraction
-from math import prod
+from math import factorial, prod
 
 import pytest
 from hypothesis import given
@@ -303,18 +303,23 @@ def test_fault_validation():
 def test_hook_fault_changes_only_its_target():
     fault = Fault(kind="hook", partition=Partition((2, 1)), row=1, col=1, delta=1)
     ws = Workspace(fault)
-    assert ws.hook_product(Partition((2, 1))) == 4  # 3 bumped to 4, times 1, 1
-    assert ws.hook_product(Partition((2, 2))) == hook_product(Partition((2, 2)))
-    assert ws.g_poly(Partition((2, 1))) == g_poly(Partition((2, 1)))
-    assert ws.syt_count(Partition((2, 1))) == Fraction(6, 4)
+    ctx = ws.context(Partition((2, 1)))
+    assert ctx.h == 4  # 3 bumped to 4, times 1, 1
+    assert ctx.g == g_poly(Partition((2, 1)))
+    assert ws.context(Partition((2, 2))).h == hook_product(Partition((2, 2)))
+    # the faulted value is what a larger partition reads for that removal
+    ctx = ws.context(Partition((3, 1)))
+    assert ctx.corners.removal_list == (Partition((2, 1)), Partition((3,)))
+    assert ctx.mu_h == (4, hook_product(Partition((3,))))
 
 
 def test_g_factor_fault_changes_only_its_target():
     fault = Fault(kind="g-factor", partition=Partition((1,)), index=1, delta=1)
     ws = Workspace(fault)
-    assert ws.g_poly(Partition((1,))) == linear(1)
-    assert ws.g_poly(Partition((2,))) == g_poly(Partition((2,)))
-    assert ws.hook_product(Partition((1,))) == 1
+    assert ws.context(Partition((1,))).g == linear(1)
+    assert ws.context(Partition((1,))).h == 1
+    assert ws.context(Partition((2,))).g == g_poly(Partition((2,)))
+    assert ws.context(Partition((2,))).mu_g == (linear(1),)
 
 
 def test_hook_fault_breaks_the_difference_identity():
@@ -327,7 +332,14 @@ def test_hook_fault_breaks_the_difference_identity():
 
 def test_unfaulted_workspace_matches_pure_functions():
     ws = Workspace()
-    for lam in enumerate_partitions(6):
-        assert ws.hook_product(lam) == hook_product(lam)
-        assert ws.g_poly(lam) == g_poly(lam)
-        assert ws.syt_count(lam) == syt_count(lam)
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            ctx = ws.context(lam)
+            assert ws.context(lam) is ctx
+            assert ctx.corners == corner_sets(lam)
+            g = g_poly(lam)
+            assert (ctx.h, ctx.g, ctx.g_next) == (hook_product(lam), g, g.shift(1))
+            mus = corner_removals(lam)
+            assert ctx.mu_h == tuple(hook_product(mu) for mu in mus)
+            assert ctx.mu_g == tuple(g_poly(mu) for mu in mus)
+            assert Fraction(factorial(n), ctx.h) == syt_count(lam)

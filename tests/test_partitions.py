@@ -40,6 +40,8 @@ def test_partition_invariants():
         Partition((3, 0))
     with pytest.raises(PartitionError):
         Partition((3, -1))
+    with pytest.raises(PartitionError):
+        Partition((True,))
 
 
 def test_part_indexing_beyond_length_is_zero():

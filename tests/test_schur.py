@@ -17,7 +17,6 @@ from hookshift import (
     g_poly,
     hook_product,
     kostka,
-    monomial_times_p1,
     pieri_p1,
     rising_binomial,
     schur_lhs,
@@ -25,6 +24,7 @@ from hookshift import (
     syt_count,
     to_monomial,
 )
+from oracles import monomial_times_p1
 from strategies import partitions
 
 P = Partition
