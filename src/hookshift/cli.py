@@ -8,6 +8,7 @@ machine-dependent, so their output is a pure function of argv.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 from fractions import Fraction
@@ -185,13 +186,20 @@ def _cmd_sweep(args) -> int:
         fail_fast=args.fail_fast,
         capture_witnesses=args.witnesses,
     )
-    report = run_sweep(config)
-    text = render_report(report)
-    if args.output:
-        with open(args.output, "w") as fh:
-            fh.write(text)
-    else:
-        print(text, end="" if text.endswith("\n") else "\n")
+    # open the output before sweeping, so a bad path fails at once; an
+    # existing file keeps its contents until the new report replaces them
+    try:
+        sink = open(args.output, "a") if args.output else None
+    except OSError as exc:
+        raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
+    with sink or contextlib.nullcontext():
+        report = run_sweep(config)
+        text = render_report(report)
+        if sink:
+            sink.truncate(0)
+            sink.write(text)
+        else:
+            print(text, end="" if text.endswith("\n") else "\n")
     return 0 if report.all_passed else 1
 
 

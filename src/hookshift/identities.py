@@ -26,8 +26,10 @@ from .partitions import (
     Partition,
     PartitionError,
     corner_sets,
+    hook_length,
     hook_lengths,
     hook_product,
+    syt_count,
 )
 from .polynomials import (
     ExactPolynomial,
@@ -47,7 +49,9 @@ class IdentityId(enum.Enum):
     REC_1_2           tableau-count recurrence over corner removals
     REC_1_3           n over the hook product equals the corner sum of
                       hook-product reciprocals
-    REMARK_DN         n-fold difference of g/H is the tableau count
+    REMARK_DN         n-fold difference of g/H is the tableau count,
+                      cleared: the n-fold difference of g equals f * H,
+                      with f from Frobenius's formula (no hook lengths)
     CORNER_RATIO_2_2  per corner: hook-product ratio equals the g-value
                       ratio at the corner's shifted index
     QUOTIENT_4_2      per corner: the removed partition's g-polynomial as
@@ -124,7 +128,8 @@ class Fault:
 
     kind "hook" bumps the hook length of one cell of one partition before
     the hook product is taken; kind "g-factor" bumps the constant of one
-    linear factor of one partition's g-polynomial.
+    linear factor of one partition's g-polynomial.  ``delta`` must be
+    nonzero, and a hook fault must leave the hook length positive.
     """
 
     kind: str
@@ -138,8 +143,17 @@ class Fault:
         object.__setattr__(self, "partition", Partition(self.partition))
         if self.kind not in ("hook", "g-factor"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
-        if self.kind == "hook" and not self.partition.contains_cell(Cell(self.row, self.col)):
-            raise ValueError(f"cell ({self.row},{self.col}) outside {self.partition}")
+        if self.delta == 0:
+            raise ValueError("a fault with delta 0 perturbs nothing")
+        if self.kind == "hook":
+            cell = Cell(self.row, self.col)
+            if not self.partition.contains_cell(cell):
+                raise ValueError(f"cell ({self.row},{self.col}) outside {self.partition}")
+            if hook_length(self.partition, cell) + self.delta <= 0:
+                raise ValueError(
+                    f"delta {self.delta} makes the hook length of ({self.row},{self.col}) "
+                    "nonpositive"
+                )
         if self.kind == "g-factor" and not 1 <= self.index <= self.partition.size:
             raise ValueError(f"factor index {self.index} outside 1..{self.partition.size}")
 
@@ -309,13 +323,16 @@ def _check_rec_1_3(ctx: PartitionContext, capture: bool):
 
 
 def _check_remark_dn(ctx: PartitionContext, capture: bool):
-    n = ctx.lam.size
-    q = ctx.g * Fraction(1, ctx.h)
-    for _ in range(n):
-        q = difference(q)
-    rhs = ExactPolynomial((Fraction(factorial(n), ctx.h),))
-    passed = q == rhs
-    return [(None, passed, *_sides(passed, capture, q, rhs))]
+    # cleared by H: the n-fold difference of g against f * H, with f from
+    # a formula that reads no hook length.  g is monic of degree n even
+    # under a fault, so the difference is a single constant.
+    d = ctx.g
+    for _ in range(ctx.lam.size):
+        d = difference(d)
+    (lhs,) = d.coeffs
+    rhs = syt_count(ctx.lam) * ctx.h
+    passed = lhs == rhs
+    return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
 def _check_corner_ratio_2_2(ctx: PartitionContext, capture: bool):

@@ -205,14 +205,20 @@ def hook_product(lam: Partition) -> int:
 
 
 def syt_count(lam: Partition) -> int:
-    """Number of standard Young tableaux of the shape, via n!/(hook product).
+    """Number of standard Young tableaux of the shape, by Frobenius's
+    determinantal formula n! * prod_{i<j} (l_i - l_j) / prod_i l_i!, where
+    l_i = part(i) + k - i over the k rows.
 
-    The division is asserted exact; a remainder would mean the hook data
-    is internally inconsistent.
+    It reads no hook length, so it is an independent value against which
+    the hook-length formula n!/H can be checked.  The division is asserted
+    exact; a remainder would mean the formula was applied wrongly.
     """
-    q, r = divmod(factorial(lam.size), hook_product(lam))
+    k = len(lam)
+    ls = [lam.part(i) + k - i for i in range(1, k + 1)]
+    num = factorial(lam.size) * prod(a - b for i, a in enumerate(ls) for b in ls[i + 1:])
+    q, r = divmod(num, prod(factorial(a) for a in ls))
     if r:
-        raise ArithmeticError(f"{lam.size}! not divisible by the hook product of {lam}")
+        raise ArithmeticError(f"Frobenius formula for {lam} is not an integer")
     return q
 
 

@@ -7,6 +7,7 @@ derivations.
 
 from collections import Counter
 from itertools import permutations
+from math import comb, prod
 
 from hookshift import MonomialExpansion, Partition
 
@@ -95,10 +96,21 @@ def schur_value_bialternant(lam, xs):
     return q
 
 
+def g_value_by_factors(lam, x):
+    """g_lam(x) as the product of its n factors (x + part(i) - i), taken
+    one by one at the point x."""
+    return prod(x + lam.part(i) - i for i in range(1, lam.size + 1))
+
+
+def iterated_difference_value(f, m, x):
+    """The m-fold forward difference of f at x, by the binomial sum
+    sum over k of (-1)^(m-k) C(m,k) f(x + k); no polynomial shifts."""
+    return sum((-1) ** (m - k) * comb(m, k) * f(x + k) for k in range(m + 1))
+
+
 def elementary_value(m, xs):
     """e_m at the values xs, summed over m-subsets directly."""
     from itertools import combinations
-    from math import prod
 
     return sum(prod(c) for c in combinations(xs, m)) if m <= len(xs) else 0
 

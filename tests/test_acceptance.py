@@ -109,16 +109,16 @@ def test_a05_tableau_count_oracle_to_9():
           f"for all {total} shapes of size <= 9")
 
 
-def test_a06_iterated_difference_to_12():
+def test_a06_iterated_difference_to_20():
     ws = Workspace()
     total = 0
-    for n in range(1, 13):
+    for n in range(1, 21):
         for lam in enumerate_partitions(n):
             (outcome,) = check_identity(IdentityId.REMARK_DN, lam, ws)
             assert outcome.passed, lam
             total += 1
-    print(f"[A6] PASS n-fold difference of g/H equals the tableau count for all "
-          f"{total} partitions of 1..12")
+    print(f"[A6] PASS n-fold difference of g equals the tableau count times H for "
+          f"all {total} partitions of 1..20")
 
 
 def test_a07_hook_ratio_sum_to_20():

@@ -150,6 +150,28 @@ def test_sweep_output_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["totals"]["failed"] == 0
+    # a second sweep replaces the report rather than appending to it
+    path.write_text("stale " * 10_000)
+    code, _, _ = run_cli(capsys, "sweep", "--max-n", "2", "--max-n-schur", "1",
+                         "--max-n-oracle", "1", "--jobs", "1", "--output", str(path))
+    assert code == 0
+    again = json.loads(path.read_text())
+    assert again.pop("timing") and doc.pop("timing")
+    assert again == doc
+
+
+def test_sweep_output_unwritable(tmp_path, monkeypatch, capsys):
+    def no_sweep(config):
+        raise AssertionError("swept before opening the output")
+
+    monkeypatch.setattr(cli, "run_sweep", no_sweep)
+    path = tmp_path / "missing" / "report.json"
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "2", "--jobs", "1",
+                             "--output", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and str(path) in err
+    assert "Traceback" not in err
 
 
 def test_sweep_exit_code_on_failure(monkeypatch, capsys):

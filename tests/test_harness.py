@@ -1,8 +1,9 @@
 import json
+from collections import Counter
 
 import pytest
 
-from hookshift import Fault, IdentityId, Partition, parse_partition
+from hookshift import Fault, IdentityId, Partition, enumerate_partitions, parse_partition
 from hookshift.harness import SweepConfig, render_report, run_sweep
 
 
@@ -149,6 +150,45 @@ def test_fault_reaches_the_next_size_unit():
         f["partition"] for agg in report.per_identity().values() for f in agg["failures"]
     }
     assert {parse_partition(p).size for p in failed_at - {"2,1"}} == {4}
+
+
+# Which identities catch a fault of each kind; measured all-or-nothing over
+# every fault on partitions of size <= 5.  REMARK_DN cannot see a g-factor
+# fault (the n-fold difference of any monic degree-n polynomial is n!);
+# REC_1_2, REC_1_3, THM_4_2 and COR_4_4 read no g, QUOTIENT_4_2 and EQ_4_6
+# no hook length.
+SENSITIVITY = {
+    "hook": {"THM_1_1", "REC_1_2", "REC_1_3", "REMARK_DN", "CORNER_RATIO_2_2",
+             "THM_4_1", "THM_4_2", "COR_4_4"},
+    "g-factor": {"THM_1_1", "CORNER_RATIO_2_2", "QUOTIENT_4_2", "THM_4_1", "EQ_4_6"},
+}
+
+
+def _all_faults(max_n):
+    for n in range(1, max_n + 1):
+        for lam in enumerate_partitions(n):
+            for cell in lam.cells():
+                yield Fault(kind="hook", partition=lam, row=cell.row, col=cell.col)
+            for index in range(1, n + 1):
+                yield Fault(kind="g-factor", partition=lam, index=index)
+
+
+def test_fault_sensitivity_matrix():
+    caught = {kind: Counter() for kind in SENSITIVITY}
+    faults = Counter()
+    for fault in _all_faults(4):
+        report = run_sweep(small_config(max_n_theorem_1_2=1, max_n_oracles=1, fault=fault))
+        faults[fault.kind] += 1
+        for identity, agg in report.per_identity().items():
+            if agg["failures"]:
+                caught[fault.kind][identity] += 1
+            if identity == "REMARK_DN":
+                # it reads only the partition's own H
+                assert {f["partition"] for f in agg["failures"]} <= {str(fault.partition)}
+    assert faults == {"hook": 34, "g-factor": 34}
+    for kind, catchers in SENSITIVITY.items():
+        expected = {i.value: faults[kind] if i.value in catchers else 0 for i in IdentityId}
+        assert {i.value: caught[kind][i.value] for i in IdentityId} == expected, kind
 
 
 def test_fault_crosses_process_boundary():

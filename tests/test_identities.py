@@ -29,6 +29,7 @@ from hookshift import (
     syt_count,
     thm_4_2_numerator,
 )
+from oracles import g_value_by_factors, iterated_difference_value
 from strategies import partitions
 
 LAM = Partition((5, 5, 3, 3, 1))
@@ -232,13 +233,37 @@ def test_quotient_4_2_single_box():
 
 
 def test_remark_dn_by_hand():
-    # one application for the single box: D(x) == 1 == tableau count
+    # cleared by H: the single box has D(x) == 1 == f * H == 1 * 1
     (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((1,)), capture=True)
     assert outcome.passed
-    q = g_poly(Partition((2, 2))) * Fraction(1, hook_product(Partition((2, 2))))
-    for _ in range(4):
-        q = difference(q)
-    assert q == ExactPolynomial((syt_count(Partition((2, 2))),))
+    assert (outcome.lhs, outcome.rhs) == (1, 1)
+    # (2,2): the fourth difference of a monic quartic is 4! == 24, and
+    # f * H == 2 * 12
+    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((2, 2)), capture=True)
+    assert outcome.passed
+    assert (outcome.lhs, outcome.rhs) == (24, 2 * 12)
+    assert type(outcome.lhs) is int and type(outcome.rhs) is int
+    assert outcome.to_json()["lhs"] == outcome.to_json()["rhs"] == "24/1"
+    # f reads no hook length, so a hook 3 bumped to 4 shows: H = 16
+    fault = Fault(kind="hook", partition=Partition((2, 2)), row=1, col=1, delta=1)
+    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((2, 2)), Workspace(fault))
+    assert not outcome.passed
+    assert (outcome.lhs, outcome.rhs) == (24, 2 * 16)
+
+
+def test_iterated_difference_matches_binomial_sum_to_8():
+    # every m-fold difference of g, m <= n, against the binomial-sum oracle
+    # on the factors of g; at m = n both give the constant n!
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            d = g_poly(lam)
+            for m in range(n + 1):
+                for x in range(-n, n + 1):
+                    want = iterated_difference_value(lambda t: g_value_by_factors(lam, t), m, x)
+                    assert d(x) == want, (lam, m, x)
+                if m < n:
+                    d = difference(d)
+            assert d == factorial(n), lam
 
 
 def test_cor_4_4_sum_is_exactly_n():
@@ -298,6 +323,18 @@ def test_fault_validation():
         Fault(kind="hook", partition=Partition((2, 1)), row=2, col=2)
     with pytest.raises(ValueError):
         Fault(kind="g-factor", partition=Partition((2, 1)), index=4)
+    # a zero delta tests nothing: the sweep would report green
+    with pytest.raises(ValueError):
+        Fault(kind="g-factor", partition=Partition((2, 1)), index=2, delta=0)
+    with pytest.raises(ValueError):
+        Fault(kind="hook", partition=Partition((2, 1)), row=1, col=1, delta=0)
+    # a hook length of 0 or less would divide by zero in the checks
+    with pytest.raises(ValueError):
+        Fault(kind="hook", partition=Partition((1,)), row=1, col=1, delta=-1)
+    with pytest.raises(ValueError):
+        Fault(kind="hook", partition=Partition((2, 1)), row=1, col=1, delta=-3)
+    assert Fault(kind="hook", partition=Partition((2, 1)), row=1, col=1, delta=-2).delta == -2
+    assert Fault(kind="g-factor", partition=Partition((1,)), index=1, delta=-1).delta == -1
 
 
 def test_hook_fault_changes_only_its_target():
