@@ -16,7 +16,6 @@ from fractions import Fraction
 from .harness import SweepConfig, render_report, run_sweep
 from .identities import (
     IdentityId,
-    Workspace,
     check_identity,
     corner_quotient_factors,
     g_poly,
@@ -109,10 +108,10 @@ def _dispatch(args) -> int:
         print(syt_count(parse_partition(args.partition)))
         return 0
     if cmd == "schur-lhs":
-        print(json.dumps(schur_lhs(_nonnegative(args.n)).serialize(), indent=2))
+        print(json.dumps(schur_lhs(args.n).serialize(), indent=2))
         return 0
     if cmd == "schur-rhs":
-        print(json.dumps(schur_rhs(_nonnegative(args.n)).serialize(), indent=2))
+        print(json.dumps(schur_rhs(args.n).serialize(), indent=2))
         return 0
     if cmd == "check":
         return _cmd_check(args)
@@ -121,12 +120,6 @@ def _dispatch(args) -> int:
     if cmd == "example-55331":
         return _cmd_example()
     raise AssertionError(cmd)
-
-
-def _nonnegative(n: int) -> int:
-    if n < 0:
-        raise ValueError("n must be nonnegative")
-    return n
 
 
 def _cmd_hooks(lam: Partition) -> int:
@@ -153,11 +146,10 @@ def _cmd_check(args) -> int:
     try:
         identity = IdentityId(args.identity)
     except ValueError:
-        print(f"error: unknown identity id {args.identity!r}; one of "
-              + ", ".join(i.value for i in IdentityId), file=sys.stderr)
-        return 2
+        raise ValueError(f"unknown identity id {args.identity!r}; one of "
+                         + ", ".join(i.value for i in IdentityId)) from None
     lam = parse_partition(args.partition)
-    outcomes = check_identity(identity, lam, Workspace(), capture=True)
+    outcomes = check_identity(identity, lam, capture=True)
     for o in outcomes:
         corner = f" corner={o.corner_index}" if o.corner_index is not None else ""
         print(f"{o.status.upper()} {o.identity} {o.partition}{corner} "
@@ -167,7 +159,7 @@ def _cmd_check(args) -> int:
 
 def _parse_identity_selection(text: str):
     if text == "all":
-        return "all"
+        return tuple(IdentityId)
     try:
         return tuple(IdentityId(tok) for tok in text.split(",") if tok)
     except ValueError as exc:
@@ -203,12 +195,8 @@ def _cmd_sweep(args) -> int:
     return 0 if report.all_passed else 1
 
 
-def _factor_str(polys) -> str:
-    return "".join(f"({p})" for p in polys)
-
-
-def _value_str(values) -> str:
-    return "".join(f"({v})" for v in values)
+def _product_str(factors) -> str:
+    return "".join(f"({f})" for f in factors)
 
 
 def _cmd_example() -> int:
@@ -237,17 +225,17 @@ def _cmd_example() -> int:
     den_hooks = [hook_length(mu, c) for c in changed if mu.contains_cell(c)]
     ratio = Fraction(hook_product(lam), hook_product(mu))
     print("only the hooks in the removed box's row and column change, so")
-    print(f"  H/H' = {_value_str(num_hooks)} / {_value_str(den_hooks)} = {ratio}")
+    print(f"  H/H' = {_product_str(num_hooks)} / {_product_str(den_hooks)} = {ratio}")
     print()
 
     num, den = corner_quotient_factors(lam, corner_row)
     print(f"cancelled quotient g(x+1)/g'(x) for the row-{corner_row} removal:")
-    print(f"  {_factor_str(num)} / {_factor_str(den)}")
+    print(f"  {_product_str(num)} / {_product_str(den)}")
     a = corner_row - lam.part(corner_row)
     num_vals = [p(a) for p in num]
     den_vals = [p(a) for p in den]
     print(f"at x = {corner_row} - {lam.part(corner_row)} = {a} this is "
-          f"{_value_str(num_vals)} / {_value_str(den_vals)} = "
+          f"{_product_str(num_vals)} / {_product_str(den_vals)} = "
           f"{Fraction(g_poly(lam)(a + 1), g_poly(mu)(a))} = H/H'")
     print()
 
@@ -255,11 +243,11 @@ def _cmd_example() -> int:
     for i in data.in_corners:
         print(f"  row {i} removed -> {data.removals[i]}")
     qnum, qden = g_quotient_factors(lam)
-    print(f"so (x-{n}) g(x+1)/g(x) = {_factor_str(qnum)} / {_factor_str(qden)}")
+    print(f"so (x-{n}) g(x+1)/g(x) = {_product_str(qnum)} / {_product_str(qden)}")
     print("and the weighted corner sum identity reads")
     print("  sum over rows i in T of (H/H_i-) / (x+part(i)-i)")
-    print(f"    = x - {_factor_str(qnum)} / {_factor_str(qden)}")
-    print(f"    = ({thm_4_2_numerator(lam)}) / {_factor_str(qden)}")
+    print(f"    = x - {_product_str(qnum)} / {_product_str(qden)}")
+    print(f"    = ({thm_4_2_numerator(lam)}) / {_product_str(qden)}")
     print()
 
     total = sum(Fraction(hook_product(lam), hook_product(m)) for m in data.removal_list)

@@ -8,8 +8,8 @@ dropped with the unit.  Only bounds and the fault cross process
 boundaries, and a unit returns one row per identity.  Schur-identity
 checks run as one unit per degree.  Results are merged by a
 deterministic sort, which makes report contents independent of worker
-count and completion order.  Wall-clock time lives in a separate "timing"
-object excluded from the determinism guarantee.
+count and completion order.  Wall-clock time and the worker count live
+in a separate "timing" object excluded from the determinism guarantee.
 """
 
 from __future__ import annotations
@@ -17,7 +17,8 @@ from __future__ import annotations
 import json
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+from concurrent.futures import ProcessPoolExecutor, as_completed
+from contextlib import closing
 from dataclasses import dataclass, field
 
 from .identities import Fault, IdentityId, Workspace, check_identity
@@ -32,16 +33,16 @@ _FORMATS = ("json", "csv", "text")
 class SweepConfig:
     """What to sweep and how.
 
-    ``identities`` may be a tuple of IdentityId or the string "all"; the
-    selection is always normalized to catalog order.  ``parallelism`` is a
-    worker count or "auto" (one worker per CPU).  ``fault`` is the test
-    hook for sensitivity runs and leaves ordinary sweeps untouched.
+    ``identities`` is a nonempty selection of IdentityId, normalized to
+    catalog order.  ``parallelism`` is a worker count or "auto" (one
+    worker per CPU).  ``fault`` is the test hook for sensitivity runs and
+    leaves ordinary sweeps untouched.
     """
 
     max_n_identities: int = 25
     max_n_theorem_1_2: int = 9
     max_n_oracles: int = 8
-    identities: object = "all"
+    identities: tuple[IdentityId, ...] = CATALOG
     parallelism: object = "auto"
     output_format: str = "json"
     fail_fast: bool = False
@@ -62,21 +63,16 @@ class SweepConfig:
             )
         if self.output_format not in _FORMATS:
             raise ValueError(f"unknown output format {self.output_format!r}")
-        if self.identities != "all":
-            ids = tuple(self.identities)
-            for i in ids:
-                if not isinstance(i, IdentityId):
-                    raise ValueError(f"not an IdentityId: {i!r}")
-            object.__setattr__(self, "identities", ids)
+        chosen = tuple(self.identities)
+        for i in chosen:
+            if not isinstance(i, IdentityId):
+                raise ValueError(f"not an IdentityId: {i!r}")
+        if not chosen:
+            raise ValueError("no identities selected, so the sweep would check nothing")
+        object.__setattr__(self, "identities", tuple(i for i in CATALOG if i in chosen))
         if self.parallelism != "auto":
             if not isinstance(self.parallelism, int) or self.parallelism < 1:
                 raise ValueError("parallelism must be 'auto' or a positive integer")
-
-    def selected_identities(self) -> tuple[IdentityId, ...]:
-        if self.identities == "all":
-            return CATALOG
-        chosen = set(self.identities)
-        return tuple(i for i in CATALOG if i in chosen)
 
     def workers(self) -> int:
         if self.parallelism == "auto":
@@ -88,8 +84,7 @@ class SweepConfig:
             "max_n_identities": self.max_n_identities,
             "max_n_theorem_1_2": self.max_n_theorem_1_2,
             "max_n_oracles": self.max_n_oracles,
-            "identities": [i.value for i in self.selected_identities()],
-            "parallelism": self.parallelism,
+            "identities": [i.value for i in self.identities],
             "output_format": self.output_format,
             "fail_fast": self.fail_fast,
             "capture_witnesses": self.capture_witnesses,
@@ -116,17 +111,16 @@ class SweepReport:
             agg["passed"] += row["passed"]
             agg["failures"].extend(row["failures"])
             if self.config.capture_witnesses:
-                agg.setdefault("witnesses", []).extend(row.get("witnesses", []))
+                agg.setdefault("witnesses", []).extend(row["witnesses"])
         return out
 
     def totals(self) -> dict[str, int]:
         checked = sum(r["checked"] for r in self.identity_rows)
         passed = sum(r["passed"] for r in self.identity_rows)
         for row in self.theorem_rows:
-            for key in ("equality", "recurrences", "oracle"):
-                if row[key] is not None:
-                    checked += 1
-                    passed += row[key] == "pass"
+            statuses = _statuses(row)
+            checked += len(statuses)
+            passed += statuses.count("pass")
         return {"checked": checked, "passed": passed, "failed": checked - passed}
 
     @property
@@ -139,7 +133,7 @@ class SweepReport:
             "identities": self.per_identity(),
             "theorem_1_2": self.theorem_rows,
             "totals": self.totals(),
-            "timing": {"wall_seconds": self.wall_time},
+            "timing": {"wall_seconds": self.wall_time, "workers": self.config.workers()},
         }
 
 
@@ -147,12 +141,10 @@ def _identity_unit(
     n: int, identities: tuple[IdentityId, ...], fault: Fault | None, capture: bool
 ) -> list[dict]:
     ws = Workspace(fault)
-    rows = []
-    for identity in identities:
-        row = {"identity": identity.value, "n": n, "checked": 0, "passed": 0, "failures": []}
-        if capture:
-            row["witnesses"] = []
-        rows.append(row)
+    rows = [
+        {"identity": i.value, "n": n, "checked": 0, "passed": 0, "failures": [], "witnesses": []}
+        for i in identities
+    ]
     for lam in enumerate_partitions(n):
         for identity, row in zip(identities, rows):
             for outcome in check_identity(identity, lam, ws, capture=capture):
@@ -170,18 +162,18 @@ def _identity_unit(
 
 def _theorem_unit(n: int, thm_limit: int, max_n_oracles: int) -> list[dict]:
     row: dict = {"n": n}
-    eq = check_theorem_1_2(n, limit=thm_limit)
-    row["equality"] = eq.status
-    if not eq.passed:
-        row["equality_witness"] = {"lhs": eq.lhs, "rhs": eq.rhs}
-    if n >= 1:
-        rec = check_schur_recurrences(n, limit=thm_limit)
-        row["recurrences"] = rec.status
-        if not rec.passed:
-            row["recurrences_witness"] = {"lhs": rec.lhs, "rhs": rec.rhs}
-    else:
-        row["recurrences"] = None
+    outcomes = {
+        "equality": check_theorem_1_2(n, limit=thm_limit),
+        "recurrences": check_schur_recurrences(n, limit=thm_limit) if n >= 1 else None,
+    }
+    for key, outcome in outcomes.items():
+        row[key] = None if outcome is None else outcome.status
+        if outcome is not None and not outcome.passed:
+            row[f"{key}_witness"] = {"lhs": outcome.lhs, "rhs": outcome.rhs}
     if n <= max_n_oracles:
+        # The monomial expansion is a function of the Schur terms alone, so
+        # this passes whenever "equality" passed: it cross-checks the Kostka
+        # arithmetic, and is never the only failing check of a degree.
         same = to_monomial(schur_lhs(n), limit=max_n_oracles) == to_monomial(
             schur_rhs(n), limit=max_n_oracles
         )
@@ -191,10 +183,30 @@ def _theorem_unit(n: int, thm_limit: int, max_n_oracles: int) -> list[dict]:
     return [row]
 
 
+def _statuses(row: dict) -> list[str]:
+    """The statuses of the checks a Schur-degree row ran."""
+    return [row[k] for k in ("equality", "recurrences", "oracle") if row[k] is not None]
+
+
 def _task_failed(row: dict) -> bool:
     if "identity" in row:
         return bool(row["failures"])
-    return "fail" in (row["equality"], row["recurrences"], row["oracle"])
+    return "fail" in _statuses(row)
+
+
+def _completed(units: list[tuple], workers: int):
+    """Yield each unit's rows as the unit finishes; closing the generator
+    cancels the units that have not started."""
+    if workers == 1:
+        for fn, *args in units:
+            yield fn(*args)
+        return
+    pool = ProcessPoolExecutor(max_workers=workers)
+    try:
+        for fut in as_completed([pool.submit(*unit) for unit in units]):
+            yield fut.result()
+    finally:
+        pool.shutdown(cancel_futures=True)
 
 
 def run_sweep(config: SweepConfig) -> SweepReport:
@@ -207,7 +219,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     """
     start = time.perf_counter()
     units: list[tuple] = [
-        (_identity_unit, n, config.selected_identities(), config.fault, config.capture_witnesses)
+        (_identity_unit, n, config.identities, config.fault, config.capture_witnesses)
         for n in range(1, config.max_n_identities + 1)
     ]
     units += [
@@ -215,25 +227,11 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for n in range(config.max_n_theorem_1_2 + 1)
     ]
     rows: list[dict] = []
-    if config.workers() == 1:
-        for fn, *args in units:
-            unit_rows = fn(*args)
+    with closing(_completed(units, config.workers())) as results:
+        for unit_rows in results:
             rows += unit_rows
             if config.fail_fast and any(map(_task_failed, unit_rows)):
                 break
-    else:
-        with ProcessPoolExecutor(max_workers=config.workers()) as pool:
-            pending = {pool.submit(*unit) for unit in units}
-            stop = False
-            while pending and not stop:
-                done, pending = wait(pending, return_when=FIRST_COMPLETED)
-                for fut in done:
-                    unit_rows = fut.result()
-                    rows += unit_rows
-                    if config.fail_fast and any(map(_task_failed, unit_rows)):
-                        stop = True
-                for fut in pending if stop else ():
-                    fut.cancel()
 
     order = {identity.value: k for k, identity in enumerate(CATALOG)}
     identity_rows = sorted(
@@ -251,16 +249,15 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     )
 
 
-def render_report(report: SweepReport, fmt: str | None = None) -> str:
-    """Render to json, csv, or text; bit-stable for identical reports."""
-    fmt = report.config.output_format if fmt is None else fmt
+def render_report(report: SweepReport) -> str:
+    """Render in the config's output format (json, csv or text);
+    bit-stable for identical reports."""
+    fmt = report.config.output_format
     if fmt == "json":
         return json.dumps(report.to_json(), indent=2)
     if fmt == "csv":
         return _render_csv(report)
-    if fmt == "text":
-        return _render_text(report)
-    raise ValueError(f"unknown output format {fmt!r}")
+    return _render_text(report)
 
 
 def _render_csv(report: SweepReport) -> str:
@@ -269,8 +266,8 @@ def _render_csv(report: SweepReport) -> str:
         failed = row["checked"] - row["passed"]
         lines.append(f"{row['identity']},{row['n']},{row['checked']},{row['passed']},{failed}")
     for row in report.theorem_rows:
-        statuses = [row[k] for k in ("equality", "recurrences", "oracle") if row[k] is not None]
-        passed = sum(s == "pass" for s in statuses)
+        statuses = _statuses(row)
+        passed = statuses.count("pass")
         lines.append(f"THM_1_2,{row['n']},{len(statuses)},{passed},{len(statuses) - passed}")
     return "\n".join(lines) + "\n"
 
@@ -284,10 +281,7 @@ def _render_text(report: SweepReport) -> str:
         mark = "ok" if failed == 0 else f"{failed} FAILED"
         lines.append(f"  {name:<{width}}  checked {agg['checked']:>6}  {mark}")
     if report.theorem_rows:
-        worst = "ok"
-        for row in report.theorem_rows:
-            if _task_failed(row):
-                worst = "FAILED"
+        worst = "FAILED" if any(map(_task_failed, report.theorem_rows)) else "ok"
         ns = [row["n"] for row in report.theorem_rows]
         lines.append(f"  theorem_1_2 for n in {min(ns)}..{max(ns)}: {worst}")
     totals = report.totals()

@@ -424,7 +424,6 @@ def check_identity(
     lam: Partition,
     workspace: Workspace | None = None,
     capture: bool = False,
-    limit: int | None = None,
 ) -> list[VerificationOutcome]:
     """Check one identity at one partition.
 
@@ -436,8 +435,6 @@ def check_identity(
         raise TypeError(f"expected IdentityId, got {identity!r}")
     if not lam:
         raise PartitionError(f"{identity.value} needs a nonempty partition")
-    if limit is not None and lam.size > limit:
-        raise ValueError(f"|{lam}| = {lam.size} exceeds the size limit {limit}")
     ws = workspace if workspace is not None else Workspace()
     return [
         VerificationOutcome(

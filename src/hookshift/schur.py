@@ -77,9 +77,6 @@ class SchurExpansion:
             out[lam] = out[lam] + c if lam in out else c
         return SchurExpansion(out)
 
-    def __sub__(self, other: "SchurExpansion") -> "SchurExpansion":
-        return self + other.scale(-1)
-
     def scale(self, c) -> "SchurExpansion":
         if not c:
             return SchurExpansion()
@@ -128,12 +125,6 @@ class MonomialExpansion:
 
     def items(self):
         return [(mu, self.terms[mu]) for mu in sorted(self.terms, reverse=True)]
-
-    def __add__(self, other: "MonomialExpansion") -> "MonomialExpansion":
-        out = dict(self.terms)
-        for mu, c in other.terms.items():
-            out[mu] = out[mu] + c if mu in out else c
-        return MonomialExpansion(out)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialExpansion):
@@ -195,7 +186,20 @@ def schur_rhs(n: int) -> SchurExpansion:
     )
 
 
-def check_theorem_1_2(n: int, limit: int = 9, capture: bool = False) -> VerificationOutcome:
+def _schur_outcome(identity: str, *witness) -> VerificationOutcome:
+    """A whole-degree outcome: a pass, or a failure with both sides."""
+    lhs, rhs = (json.dumps(w) for w in witness) if witness else (None, None)
+    return VerificationOutcome(
+        identity=identity,
+        partition=None,
+        corner_index=None,
+        status="fail" if witness else "pass",
+        lhs=lhs,
+        rhs=rhs,
+    )
+
+
+def check_theorem_1_2(n: int, limit: int = 9) -> VerificationOutcome:
     """Structural Schur-basis equality of the two sides at degree n.
 
     Schur functions are linearly independent, so coefficient-map equality
@@ -203,57 +207,31 @@ def check_theorem_1_2(n: int, limit: int = 9, capture: bool = False) -> Verifica
     """
     if not 0 <= n <= limit:
         raise ValueError(f"n = {n} outside 0..{limit}")
-    lhs = schur_lhs(n)
-    rhs = schur_rhs(n)
-    passed = lhs == rhs
-    witness = (
-        (json.dumps(lhs.serialize()), json.dumps(rhs.serialize()))
-        if capture or not passed
-        else (None, None)
-    )
-    return VerificationOutcome(
-        identity="THM_1_2",
-        partition=None,
-        corner_index=None,
-        status="pass" if passed else "fail",
-        lhs=witness[0],
-        rhs=witness[1],
-    )
+    lhs, rhs = schur_lhs(n), schur_rhs(n)
+    if lhs == rhs:
+        return _schur_outcome("THM_1_2")
+    return _schur_outcome("THM_1_2", lhs.serialize(), rhs.serialize())
 
 
-def _shift_coefficients(a: SchurExpansion, delta: int) -> SchurExpansion:
-    return a.map_coefficients(lambda c: c.shift(delta))
-
-
-def check_schur_recurrences(n: int, limit: int = 8, capture: bool = False) -> VerificationOutcome:
+def check_schur_recurrences(n: int, limit: int = 9) -> VerificationOutcome:
     """Both one-step recurrences at degree n: each side of the main identity
     equals its own x -> x-1 substitution plus p1 times the previous degree.
 
-    Substitution acts coefficient-wise through polynomial shift by -1.
+    Substitution acts coefficient-wise through polynomial shift by -1.  A
+    failure's witness is the first failing side, rhs before lhs.
     """
     if not 1 <= n <= limit:
         raise ValueError(f"n = {n} outside 1..{limit}")
-    failures = []
     for label, side in (("rhs", schur_rhs), ("lhs", schur_lhs)):
         cur = side(n)
-        expect = _shift_coefficients(cur, -1) + pieri_p1(side(n - 1))
+        expect = cur.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(side(n - 1))
         if cur != expect:
-            failures.append((label, cur, expect))
-    passed = not failures
-    lhs_w = rhs_w = None
-    if failures or capture:
-        shown = failures if failures else [("rhs", schur_rhs(n), schur_rhs(n))]
-        label, cur, expect = shown[0]
-        lhs_w = json.dumps({"side": label, "value": cur.serialize()})
-        rhs_w = json.dumps({"side": label, "value": expect.serialize()})
-    return VerificationOutcome(
-        identity="REC_3",
-        partition=None,
-        corner_index=None,
-        status="pass" if passed else "fail",
-        lhs=lhs_w,
-        rhs=rhs_w,
-    )
+            return _schur_outcome(
+                "REC_3",
+                {"side": label, "value": cur.serialize()},
+                {"side": label, "value": expect.serialize()},
+            )
+    return _schur_outcome("REC_3")
 
 
 def kostka(lam: Partition, mu: Partition, limit: int = 8) -> int:

@@ -142,6 +142,14 @@ def test_sweep_identities_flag_rejects_unknown(capsys):
     assert "bad --identities" in err
 
 
+def test_sweep_rejects_empty_identity_selection(capsys):
+    for selection in ("", ","):
+        code, out, err = run_cli(capsys, "sweep", "--identities", selection, "--max-n", "3",
+                                 "--jobs", "1")
+        assert (code, out) == (2, "")
+        assert "no identities selected" in err
+
+
 def test_sweep_output_file(tmp_path, capsys):
     path = tmp_path / "report.json"
     code, out, _ = run_cli(capsys, "sweep", "--max-n", "2", "--max-n-schur", "1",

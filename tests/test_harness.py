@@ -20,7 +20,7 @@ def test_config_defaults():
     assert cfg.max_n_identities == 25
     assert cfg.max_n_theorem_1_2 == 9
     assert cfg.max_n_oracles == 8
-    assert cfg.selected_identities() == tuple(IdentityId)
+    assert cfg.identities == tuple(IdentityId)
 
 
 def test_config_validation():
@@ -32,6 +32,9 @@ def test_config_validation():
         SweepConfig(output_format="xml")
     with pytest.raises(ValueError):
         SweepConfig(identities=("THM_1_1",))
+    with pytest.raises(ValueError):
+        # an empty selection would check no catalog identity
+        SweepConfig(identities=())
     with pytest.raises(ValueError):
         SweepConfig(parallelism=0)
     with pytest.raises(ValueError):
@@ -45,7 +48,7 @@ def test_config_validation():
 
 def test_identity_selection_normalized_to_catalog_order():
     cfg = small_config(identities=(IdentityId.COR_4_4, IdentityId.THM_1_1))
-    assert cfg.selected_identities() == (IdentityId.THM_1_1, IdentityId.COR_4_4)
+    assert cfg.identities == (IdentityId.THM_1_1, IdentityId.COR_4_4)
 
 
 # --- sweeping -------------------------------------------------------------------
@@ -77,7 +80,8 @@ def test_report_json_schema():
     assert set(doc["identities"]) == {i.value for i in IdentityId}
     for row in doc["theorem_1_2"]:
         assert set(row) >= {"n", "equality", "recurrences", "oracle"}
-    assert "wall_seconds" in doc["timing"]
+    assert set(doc["timing"]) == {"wall_seconds", "workers"}
+    assert "parallelism" not in doc["config"]
 
 
 def test_report_deterministic_across_runs():
@@ -91,9 +95,7 @@ def test_report_deterministic_across_runs():
 def test_report_independent_of_worker_count():
     a = json.loads(render_report(run_sweep(small_config(parallelism=1))))
     b = json.loads(render_report(run_sweep(small_config(parallelism=2))))
-    for doc in (a, b):
-        del doc["timing"]
-        del doc["config"]["parallelism"]
+    assert (a.pop("timing")["workers"], b.pop("timing")["workers"]) == (1, 2)
     assert json.dumps(a) == json.dumps(b)
 
 
@@ -197,24 +199,37 @@ def test_fault_crosses_process_boundary():
     assert not report.all_passed
 
 
+def test_schur_failures_carry_witnesses(monkeypatch):
+    import hookshift.schur as schur
+
+    rhs = schur.schur_rhs
+    monkeypatch.setattr(schur, "schur_rhs", lambda n: rhs(n).scale(2) if n == 3 else rhs(n))
+    report = run_sweep(small_config(identities=(IdentityId.THM_1_1,), max_n_theorem_1_2=4))
+    rows = {row["n"]: row for row in report.theorem_rows}
+    assert [n for n, row in rows.items() if "fail" in row.values()] == [3, 4]
+    equality = rows[3]["equality_witness"]
+    assert json.loads(equality["rhs"]) == rhs(3).scale(2).serialize()
+    assert json.loads(equality["lhs"]) == schur.schur_lhs(3).serialize()
+    for n in (3, 4):
+        # a degree-n recurrence reads the rhs at n and at n - 1
+        witness = {k: json.loads(v) for k, v in rows[n]["recurrences_witness"].items()}
+        assert witness["lhs"]["side"] == witness["rhs"]["side"] == "rhs"
+        assert witness["lhs"]["value"] != witness["rhs"]["value"]
+    assert "equality_witness" not in rows[4]
+
+
 # --- rendering --------------------------------------------------------------------
 
 def test_csv_format():
-    report = run_sweep(small_config(identities=(IdentityId.THM_1_1,)))
-    lines = render_report(report, "csv").strip().splitlines()
+    report = run_sweep(small_config(identities=(IdentityId.THM_1_1,), output_format="csv"))
+    lines = render_report(report).strip().splitlines()
     assert lines[0] == "identity,n,checked,passed,failed"
     assert lines[1] == "THM_1_1,1,1,1,0"
     assert lines[-1].startswith("THM_1_2,2,")
 
 
 def test_text_format():
-    report = run_sweep(small_config())
-    text = render_report(report, "text")
+    report = run_sweep(small_config(output_format="text"))
+    text = render_report(report)
     assert "totals: checked" in text
     assert "THM_1_1" in text
-
-
-def test_render_unknown_format():
-    report = run_sweep(small_config(max_n_identities=1, max_n_theorem_1_2=1, max_n_oracles=1))
-    with pytest.raises(ValueError):
-        render_report(report, "yaml")

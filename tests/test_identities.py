@@ -170,11 +170,6 @@ def test_check_identity_rejects_non_identity():
         check_identity("THM_1_1", Partition((1,)))
 
 
-def test_check_identity_size_limit():
-    with pytest.raises(ValueError):
-        check_identity(IdentityId.THM_1_1, Partition((3, 1)), limit=3)
-
-
 def test_per_corner_identities_localize():
     for identity in PER_CORNER:
         outcomes = check_identity(identity, LAM)

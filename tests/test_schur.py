@@ -156,7 +156,7 @@ def test_check_schur_recurrences():
     with pytest.raises(ValueError):
         check_schur_recurrences(0)
     with pytest.raises(ValueError):
-        check_schur_recurrences(9)
+        check_schur_recurrences(10)
 
 
 def test_rhs_coefficients_specialize_at_zero():
