@@ -1,7 +1,8 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks passed, 1 at least one verification
-failure, 2 usage or parse error.  Computation subcommands print nothing
+failure, 2 usage or parse error, 3 a sweep aborted by an exception raised
+inside a work unit.  Computation subcommands print nothing
 machine-dependent, so their output is a pure function of argv.
 """
 
@@ -185,7 +186,11 @@ def _cmd_sweep(args) -> int:
     except OSError as exc:
         raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
     with sink or contextlib.nullcontext():
-        report = run_sweep(config)
+        try:
+            report = run_sweep(config)
+        except Exception as exc:
+            print(f"error: sweep aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
+            return 3
         text = render_report(report)
         if sink:
             sink.truncate(0)

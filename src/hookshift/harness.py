@@ -196,14 +196,16 @@ def _task_failed(row: dict) -> bool:
 
 def _completed(units: list[tuple], workers: int):
     """Yield each unit's rows as the unit finishes; closing the generator
-    cancels the units that have not started."""
+    cancels the units that have not started.  A pool takes the units in
+    reverse order, so the largest sizes start first and the small ones
+    fill in around them."""
     if workers == 1:
         for fn, *args in units:
             yield fn(*args)
         return
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
-        for fut in as_completed([pool.submit(*unit) for unit in units]):
+        for fut in as_completed([pool.submit(*unit) for unit in reversed(units)]):
             yield fut.result()
     finally:
         pool.shutdown(cancel_futures=True)

@@ -38,6 +38,7 @@ from .polynomials import (
     difference,
     linear,
     product_of_linear_factors,
+    times_linear_factors,
 )
 
 
@@ -183,7 +184,12 @@ class PartitionContext:
 
     ``h`` and ``g`` are the hook product and g-polynomial of ``lam``,
     ``g_next`` is g(x+1), and ``mu_h``/``mu_g`` hold the same two values
-    for each corner removal, in in-corner row order.
+    for each corner removal, in in-corner row order.  ``mu_h_prod`` is the
+    product of ``mu_h``; ``in_prod`` and ``out_prod`` are the products of
+    (x + part(i) - i) over the in-corner rows and of (x + part(i) - i + 1)
+    over the out-corner rows; ``corner_sum`` is the THM_4_1 / THM_4_2 left
+    side, the sum over in-corner rows of H/H_mu / (x + part(i) - i),
+    cleared by ``in_prod`` and ``mu_h_prod``.
     """
 
     lam: Partition
@@ -193,37 +199,62 @@ class PartitionContext:
     g_next: ExactPolynomial
     mu_h: tuple[int, ...]
     mu_g: tuple[ExactPolynomial, ...]
+    mu_h_prod: int
+    in_prod: ExactPolynomial
+    out_prod: ExactPolynomial
+    corner_sum: ExactPolynomial
 
 
 class Workspace:
-    """Memo of hook products and g-polynomials for one unit of work.
+    """Memo of hook products, g-polynomials and tail products for one
+    unit of work.
 
     Every value the checks read is computed once here, on first use, and
-    that is the one place a fault substitutes its perturbed value, so a
-    whole sweep can be rerun against a single wrong input.  Drop the
+    that is the one place a fault substitutes its perturbed value (into
+    the hook lengths or g-factor constants, before anything is built), so
+    a whole sweep can be rerun against a single wrong input.  Drop the
     workspace to drop its memo.
     """
 
     def __init__(self, fault: Fault | None = None):
         self.fault = fault
         self._values: dict[Partition, tuple[int, ExactPolynomial]] = {}
+        self._tails: dict[tuple[int, int], ExactPolynomial] = {}
         self._context: PartitionContext | None = None
+
+    def _inputs(self, lam: Partition) -> tuple[int, list[int]]:
+        """The hook product and the g-factor constants, fault substituted."""
+        f = self.fault
+        constants = shifted_part_constants(lam)
+        if f is None or f.partition != lam:
+            return hook_product(lam), constants
+        hooks = hook_lengths(lam)
+        if f.kind == "hook":
+            hooks[f.row - 1][f.col - 1] += f.delta
+        else:
+            constants[f.index - 1] += f.delta
+        return prod(h for row in hooks for h in row), constants
+
+    def _g(self, constants: list[int], shift: int) -> ExactPolynomial:
+        """prod (x + c_i + shift) over the constants c_1..c_n.  The longest
+        trailing run with c_i = -i, shared by every partition of the same
+        length and size, comes from a memo of tail products prod (x - j),
+        j = a..b; a faulted constant ends the run, so the fault still
+        reaches the product."""
+        a = len(constants)
+        while a and constants[a - 1] == -a:
+            a -= 1
+        key = (a + 1 - shift, len(constants) - shift)
+        tail = self._tails.get(key)
+        if tail is None:
+            tail = self._tails[key] = product_of_linear_factors(range(-key[0], -key[1] - 1, -1))
+        return times_linear_factors(tail, [c + shift for c in constants[:a]])
 
     def _hook_and_g(self, lam: Partition) -> tuple[int, ExactPolynomial]:
         hit = self._values.get(lam)
         if hit is None:
-            f = self.fault
-            if f is None or f.partition != lam:
-                hit = hook_product(lam), g_poly(lam)
-            else:
-                hooks = hook_lengths(lam)
-                constants = shifted_part_constants(lam)
-                if f.kind == "hook":
-                    hooks[f.row - 1][f.col - 1] += f.delta
-                else:
-                    constants[f.index - 1] += f.delta
-                hit = prod(h for row in hooks for h in row), product_of_linear_factors(constants)
-            self._values[lam] = hit
+            h, constants = self._inputs(lam)
+            hit = self._values[lam] = h, self._g(constants, 0)
         return hit
 
     def context(self, lam: Partition) -> PartitionContext:
@@ -231,31 +262,41 @@ class Workspace:
         same partition share one instance."""
         if self._context is None or self._context.lam != lam:
             corners = corner_sets(lam)
-            h, g = self._hook_and_g(lam)
+            h, constants = self._inputs(lam)
             removed = [self._hook_and_g(mu) for mu in corners.removal_list]
+            mu_h = tuple(h_mu for h_mu, _ in removed)
+            big = prod(mu_h)
+            # corner_sum gains one term per in-corner row while in_prod
+            # gains that row's factor, which every earlier term also takes
+            in_prod, corner_sum = ONE, ExactPolynomial()
+            for i, h_mu in zip(corners.in_corners, mu_h):
+                factor = linear(lam.part(i) - i)
+                corner_sum = corner_sum * factor + in_prod * (h * (big // h_mu))
+                in_prod = in_prod * factor
             self._context = PartitionContext(
                 lam,
                 corners,
                 h,
-                g,
-                g.shift(1),
-                tuple(h_mu for h_mu, _ in removed),
+                self._g(constants, 0),
+                self._g(constants, 1),
+                mu_h,
                 tuple(g_mu for _, g_mu in removed),
+                big,
+                in_prod,
+                product_of_linear_factors(lam.part(i) - i + 1 for i in corners.out_corners),
+                corner_sum,
             )
         return self._context
 
 
-def g_quotient_factors(
-    lam: Partition, corners: CornerData | None = None
-) -> tuple[list[ExactPolynomial], list[ExactPolynomial]]:
+def g_quotient_factors(lam: Partition) -> tuple[list[ExactPolynomial], list[ExactPolynomial]]:
     """Linear factors of (x - n) g(x+1) / g(x) after cancellation.
 
     Numerator factors (x + part(i) - i + 1) run over the out-corner rows,
     denominator factors (x + part(i) - i) over the in-corner rows, both in
     increasing row order.  The numerator is always one factor longer.
-    ``corners``, when given, must be ``corner_sets(lam)``.
     """
-    corners = corner_sets(lam) if corners is None else corners
+    corners = corner_sets(lam)
     num = [linear(lam.part(i) - i + 1) for i in corners.out_corners]
     den = [linear(lam.part(i) - i) for i in corners.in_corners]
     return num, den
@@ -281,11 +322,10 @@ def corner_quotient_factors(
     return num, den
 
 
-def thm_4_2_numerator(lam: Partition, corners: CornerData | None = None) -> ExactPolynomial:
+def thm_4_2_numerator(lam: Partition) -> ExactPolynomial:
     """The cleared numerator x * prod(in-corner factors) - prod(out-corner
-    factors) of the THM_4_2 right side.  ``corners``, when given, must be
-    ``corner_sets(lam)``."""
-    num, den = g_quotient_factors(lam, corners)
+    factors) of the THM_4_2 right side."""
+    num, den = g_quotient_factors(lam)
     return X * prod(den, start=ONE) - prod(num, start=ONE)
 
 
@@ -296,7 +336,7 @@ def _sides(passed: bool, capture: bool, lhs, rhs) -> tuple[Witness, Witness]:
 
 
 def _check_thm_1_1(ctx: PartitionContext, capture: bool):
-    big = prod(ctx.mu_h)
+    big = ctx.mu_h_prod
     lhs = (ctx.g_next - ctx.g) * big
     rhs = ExactPolynomial()
     for g_mu, h in zip(ctx.mu_g, ctx.mu_h):
@@ -315,7 +355,7 @@ def _check_rec_1_2(ctx: PartitionContext, capture: bool):
 
 
 def _check_rec_1_3(ctx: PartitionContext, capture: bool):
-    big = prod(ctx.mu_h)
+    big = ctx.mu_h_prod
     lhs = ctx.lam.size * big
     rhs = ctx.h * sum(big // h for h in ctx.mu_h)
     passed = lhs == rhs
@@ -352,51 +392,35 @@ def _check_quotient_4_2(ctx: PartitionContext, capture: bool):
     out = []
     for i, g_mu in zip(ctx.corners.in_corners, ctx.mu_g):
         c = lam.part(i) - i
-        lhs = g_mu * linear(c) * linear(-lam.size)
-        rhs = ctx.g * linear(c - 1)
+        lhs = times_linear_factors(g_mu, (c, -lam.size))
+        rhs = times_linear_factors(ctx.g, (c - 1,))
         passed = lhs == rhs
         out.append((i, passed, *_sides(passed, capture, lhs, rhs)))
     return out
 
 
-def _corner_sum_factors(ctx: PartitionContext):
-    """Shared pieces of the THM_4_1 / THM_4_2 left side, hook-cleared."""
-    big = prod(ctx.mu_h)
-    constants = [ctx.lam.part(i) - i for i in ctx.corners.in_corners]
-    summed = ExactPolynomial()
-    for pos, h in enumerate(ctx.mu_h):
-        others = product_of_linear_factors(
-            c for k, c in enumerate(constants) if k != pos
-        )
-        summed = summed + others * (ctx.h * (big // h))
-    return summed, big, product_of_linear_factors(constants)
-
-
 def _check_thm_4_1(ctx: PartitionContext, capture: bool):
-    summed, big, prod_in = _corner_sum_factors(ctx)
-    lhs = summed * ctx.g
-    rhs = (X * ctx.g - linear(-ctx.lam.size) * ctx.g_next) * prod_in * big
+    lhs = ctx.corner_sum * ctx.g
+    rhs = (X * ctx.g - linear(-ctx.lam.size) * ctx.g_next) * ctx.in_prod * ctx.mu_h_prod
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
 def _check_eq_4_6(ctx: PartitionContext, capture: bool):
-    num, den = g_quotient_factors(ctx.lam, ctx.corners)
-    lhs = linear(-ctx.lam.size) * ctx.g_next * prod(den, start=ONE)
-    rhs = ctx.g * prod(num, start=ONE)
+    lhs = linear(-ctx.lam.size) * ctx.g_next * ctx.in_prod
+    rhs = ctx.g * ctx.out_prod
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]
 
 
 def _check_thm_4_2(ctx: PartitionContext, capture: bool):
-    summed, big, _ = _corner_sum_factors(ctx)
-    numerator = thm_4_2_numerator(ctx.lam, ctx.corners)
-    passed = summed == numerator * big
+    numerator = X * ctx.in_prod - ctx.out_prod
+    passed = ctx.corner_sum == numerator * ctx.mu_h_prod
     if passed and not capture:
         return [(None, True, None, None)]
     # witnesses with the hook clearing divided back out, so the right side
     # is the bare quotient numerator
-    return [(None, passed, summed * Fraction(1, big), numerator)]
+    return [(None, passed, ctx.corner_sum * Fraction(1, ctx.mu_h_prod), numerator)]
 
 
 def _check_cor_4_4(ctx: PartitionContext, capture: bool):

@@ -105,21 +105,24 @@ class ExactPolynomial:
         return (-self) + other
 
     def __mul__(self, other) -> "ExactPolynomial":
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return _make([])
-            return _make([c * other for c in self.coeffs])
         if not isinstance(other, ExactPolynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            return _make([c * other for c in self.coeffs] if other else [])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _make([])
+        if len(a) < len(b):
+            a, b = b, a
+        if len(b) == 2:
+            # times a linear factor: one pass over the longer operand
+            b0, b1 = b
+            return _make([a[0] * b0, *[p * b1 + q * b0 for p, q in zip(a, a[1:])], a[-1] * b1])
         out = [0] * (len(a) + len(b) - 1)
-        for i, x in enumerate(a):
-            if not x:
-                continue
-            for j, y in enumerate(b):
-                out[i + j] += x * y
+        for j, y in enumerate(b):
+            if y:
+                for i, x in enumerate(a, j):
+                    out[i] += x * y
         return _make(out)
 
     __rmul__ = __mul__
@@ -195,13 +198,16 @@ def linear(c: Coeff) -> ExactPolynomial:
 
 def product_of_linear_factors(constants: Iterable[Coeff]) -> ExactPolynomial:
     """prod (x + c) over the given constants; the empty product is 1."""
-    coeffs: list = [1]
+    return times_linear_factors(ONE, constants)
+
+
+def times_linear_factors(p: ExactPolynomial, constants: Iterable[Coeff]) -> ExactPolynomial:
+    """p * prod (x + c) over the given constants, one pass per factor."""
+    coeffs = list(p.coeffs)
+    if not coeffs:
+        return p
     for c in constants:
-        nxt = [c * coeffs[0]]
-        for k in range(1, len(coeffs)):
-            nxt.append(coeffs[k - 1] + c * coeffs[k])
-        nxt.append(coeffs[-1])
-        coeffs = nxt
+        coeffs = [c * coeffs[0], *[q + c * r for q, r in zip(coeffs, coeffs[1:])], coeffs[-1]]
     return _make(coeffs)
 
 

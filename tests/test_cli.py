@@ -1,9 +1,11 @@
 import json
+import multiprocessing
 
 import pytest
 
 import hookshift.cli as cli
-from hookshift import Fault, Partition
+import hookshift.identities as identities
+from hookshift import Fault, IdentityId, Partition
 from hookshift.harness import SweepConfig, run_sweep
 
 
@@ -180,6 +182,22 @@ def test_sweep_output_unwritable(tmp_path, monkeypatch, capsys):
     assert out == ""
     assert err.startswith("error:") and str(path) in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_sweep_crash_is_reported(jobs, monkeypatch, capsys):
+    if jobs != "1" and multiprocessing.get_start_method() != "fork":
+        pytest.skip("workers see the patched checker only when forked")
+
+    def crash(ctx, capture):
+        raise ZeroDivisionError("planted")
+
+    monkeypatch.setitem(identities._CHECKERS, IdentityId.COR_4_4, crash)
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "3", "--max-n-schur", "1",
+                             "--max-n-oracle", "1", "--jobs", jobs)
+    assert code == 3
+    assert out == ""
+    assert err == "error: sweep aborted: ZeroDivisionError: planted\n"
 
 
 def test_sweep_exit_code_on_failure(monkeypatch, capsys):

@@ -363,8 +363,8 @@ def test_hook_fault_breaks_the_difference_identity():
 
 
 def test_unfaulted_workspace_matches_pure_functions():
-    ws = Workspace()
-    for n in range(1, 7):
+    for n in range(1, 9):
+        ws = Workspace()
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
             assert ws.context(lam) is ctx
@@ -375,3 +375,34 @@ def test_unfaulted_workspace_matches_pure_functions():
             assert ctx.mu_h == tuple(hook_product(mu) for mu in mus)
             assert ctx.mu_g == tuple(g_poly(mu) for mu in mus)
             assert Fraction(factorial(n), ctx.h) == syt_count(lam)
+            assert ctx.mu_h_prod == prod(hook_product(mu) for mu in mus)
+            num, den = g_quotient_factors(lam)
+            assert (ctx.in_prod, ctx.out_prod) == (prod(den, start=ONE), prod(num, start=ONE))
+            # sum over in-corner rows of (H/H_mu) / (x + part(i) - i), cleared
+            # by the product of those factors and by the product of the H_mu
+            corner_sum = sum(
+                (prod(den[:k] + den[k + 1:], start=ONE) * (ctx.h * ctx.mu_h_prod // h)
+                 for k, h in enumerate(ctx.mu_h)),
+                start=ExactPolynomial(),
+            )
+            assert ctx.corner_sum == corner_sum
+
+
+@pytest.mark.parametrize(
+    "parts, index",
+    [((4, 1), 1), ((4, 1), 3), ((4, 1), 4), ((2, 1), 3)],
+    ids=["row-index", "first-tail-index", "inner-tail-index", "last-tail-index"],
+)
+def test_g_factor_fault_reaches_g_and_g_next(parts, index):
+    # index 1 is a row factor; index 3 and up lie beyond the length, among
+    # the trailing factors (x - i) that every partition of that length shares
+    lam = Partition(parts)
+    ws = Workspace(Fault(kind="g-factor", partition=lam, index=index, delta=1))
+    constants = shifted_part_constants(lam)
+    constants[index - 1] += 1
+    ctx = ws.context(lam)
+    assert ctx.g == product_of_linear_factors(constants) != g_poly(lam)
+    assert ctx.g_next == ctx.g.shift(1)
+    # a partition one box larger reads the faulted g for that removal
+    bigger = Partition((parts[0] + 1, *parts[1:]))
+    assert ctx.g in ws.context(bigger).mu_g

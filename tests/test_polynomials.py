@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 from hypothesis import given
+from hypothesis import strategies as st
 
 from hookshift import (
     ExactPolynomial,
@@ -13,6 +14,7 @@ from hookshift import (
     product_of_linear_factors,
     rising_binomial,
 )
+from hookshift.polynomials import times_linear_factors
 from strategies import exact_coeffs, polynomials
 
 
@@ -169,3 +171,25 @@ def test_equality_with_scalars():
 def test_product_of_linear_factors_empty():
     assert product_of_linear_factors([]) == ONE
     assert product_of_linear_factors([5]) == linear(5)
+
+
+def _schoolbook(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
+    out = [0] * (len(a.coeffs) + len(b.coeffs))
+    for i, x in enumerate(a.coeffs):
+        for j, y in enumerate(b.coeffs):
+            out[i + j] += x * y
+    return ExactPolynomial(out)
+
+
+@given(polynomials(max_degree=8), exact_coeffs, exact_coeffs.filter(bool))
+def test_product_with_a_two_coefficient_operand(p, b0, b1):
+    # any linear factor: Fraction or zero constant term, leading term not 1
+    factor = ExactPolynomial((b0, b1))
+    expected = _schoolbook(p, factor)
+    assert p * factor == expected
+    assert factor * p == expected
+
+
+@given(polynomials(max_degree=8), st.lists(exact_coeffs, max_size=5))
+def test_times_linear_factors_is_the_product(p, constants):
+    assert times_linear_factors(p, constants) == p * product_of_linear_factors(constants)
