@@ -15,14 +15,7 @@ import sys
 from fractions import Fraction
 
 from .harness import SweepConfig, render_report, run_sweep
-from .identities import (
-    IdentityId,
-    check_identity,
-    corner_quotient_factors,
-    g_poly,
-    g_quotient_factors,
-    thm_4_2_numerator,
-)
+from .identities import IdentityId, check_identity, g_poly
 from .partitions import (
     Partition,
     PartitionError,
@@ -33,6 +26,7 @@ from .partitions import (
     parse_partition,
     syt_count,
 )
+from .polynomials import linear
 from .schur import schur_lhs, schur_rhs
 
 
@@ -71,7 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n-schur", type=int, default=9,
                    help="bound for the Schur-identity checks (default 9)")
     p.add_argument("--max-n-oracle", type=int, default=8,
-                   help="bound for the monomial-oracle cross-check (default 8)")
+                   help="bound for the monomial-oracle cross-check, capped by "
+                   "--max-n-schur (default 8)")
     p.add_argument("--identities", default="all",
                    help="comma-separated identity ids (default all)")
     p.add_argument("--jobs", default="auto", help="worker count or 'auto'")
@@ -172,7 +167,7 @@ def _cmd_sweep(args) -> int:
     config = SweepConfig(
         max_n_identities=args.max_n,
         max_n_theorem_1_2=args.max_n_schur,
-        max_n_oracles=min(args.max_n_oracle, args.max_n),
+        max_n_oracles=min(args.max_n_oracle, args.max_n_schur),
         identities=_parse_identity_selection(args.identities),
         parallelism=jobs,
         output_format=args.format,
@@ -204,6 +199,11 @@ def _product_str(factors) -> str:
     return "".join(f"({f})" for f in factors)
 
 
+def _linear_product_str(constants) -> str:
+    """The product of the linear factors (x + c), one per constant."""
+    return _product_str(linear(c) for c in constants)
+
+
 def _cmd_example() -> int:
     lam = parse_partition("55331")
     n = lam.size
@@ -233,26 +233,30 @@ def _cmd_example() -> int:
     print(f"  H/H' = {_product_str(num_hooks)} / {_product_str(den_hooks)} = {ratio}")
     print()
 
-    num, den = corner_quotient_factors(lam, corner_row)
+    # lam has fewer than n - 1 rows, so after cancellation g(x+1) keeps the
+    # factor of every out-corner row of lam, and g'(x) that of every
+    # in-corner row, read in mu
+    num = [lam.part(j) - j + 1 for j in data.out_corners]
+    den = [mu.part(j) - j for j in data.in_corners]
+    num_str = _linear_product_str(num)
     print(f"cancelled quotient g(x+1)/g'(x) for the row-{corner_row} removal:")
-    print(f"  {_product_str(num)} / {_product_str(den)}")
+    print(f"  {num_str} / {_linear_product_str(den)}")
     a = corner_row - lam.part(corner_row)
-    num_vals = [p(a) for p in num]
-    den_vals = [p(a) for p in den]
     print(f"at x = {corner_row} - {lam.part(corner_row)} = {a} this is "
-          f"{_product_str(num_vals)} / {_product_str(den_vals)} = "
+          f"{_product_str(c + a for c in num)} / {_product_str(c + a for c in den)} = "
           f"{Fraction(g_poly(lam)(a + 1), g_poly(mu)(a))} = H/H'")
     print()
 
     print(f"corner index sets: T={_fmt_rows(data.in_corners)} and B={_fmt_rows(data.out_corners)}")
     for i in data.in_corners:
         print(f"  row {i} removed -> {data.removals[i]}")
-    qnum, qden = g_quotient_factors(lam)
-    print(f"so (x-{n}) g(x+1)/g(x) = {_product_str(qnum)} / {_product_str(qden)}")
+    qden = _linear_product_str(lam.part(i) - i for i in data.in_corners)
+    (thm_4_2,) = check_identity(IdentityId.THM_4_2, lam, capture=True)
+    print(f"so (x-{n}) g(x+1)/g(x) = {num_str} / {qden}")
     print("and the weighted corner sum identity reads")
     print("  sum over rows i in T of (H/H_i-) / (x+part(i)-i)")
-    print(f"    = x - {_product_str(qnum)} / {_product_str(qden)}")
-    print(f"    = ({thm_4_2_numerator(lam)}) / {_product_str(qden)}")
+    print(f"    = x - {num_str} / {qden}")
+    print(f"    = ({thm_4_2.rhs}) / {qden}")
     print()
 
     total = sum(Fraction(hook_product(lam), hook_product(m)) for m in data.removal_list)

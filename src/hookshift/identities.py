@@ -78,8 +78,6 @@ class IdentityId(enum.Enum):
     COR_4_4 = "COR_4_4"
 
 
-PER_CORNER = frozenset({IdentityId.CORNER_RATIO_2_2, IdentityId.QUOTIENT_4_2})
-
 # a captured side: a polynomial, an exact number, pre-rendered text, or absent
 Witness = Union["ExactPolynomial", int, Fraction, str, None]
 
@@ -287,46 +285,6 @@ class Workspace:
                 corner_sum,
             )
         return self._context
-
-
-def g_quotient_factors(lam: Partition) -> tuple[list[ExactPolynomial], list[ExactPolynomial]]:
-    """Linear factors of (x - n) g(x+1) / g(x) after cancellation.
-
-    Numerator factors (x + part(i) - i + 1) run over the out-corner rows,
-    denominator factors (x + part(i) - i) over the in-corner rows, both in
-    increasing row order.  The numerator is always one factor longer.
-    """
-    corners = corner_sets(lam)
-    num = [linear(lam.part(i) - i + 1) for i in corners.out_corners]
-    den = [linear(lam.part(i) - i) for i in corners.in_corners]
-    return num, den
-
-
-def corner_quotient_factors(
-    lam: Partition, i: int
-) -> tuple[list[ExactPolynomial], list[ExactPolynomial]]:
-    """Linear factors of g_lam(x+1) / g_mu(x) after cancellation, where mu
-    removes the corner in row i.
-
-    Numerator factors are (x + part(j) - j + 1) over the out-corner rows
-    of lam that stay at or below index n; denominator factors are
-    (x + mu_j - j) over the in-corner rows below n.  Increasing row order.
-    """
-    n = lam.size
-    corners = corner_sets(lam)
-    if i not in corners.in_corners:
-        raise PartitionError(f"row {i} is not a corner row of {lam}")
-    mu = corners.removals[i]
-    num = [linear(lam.part(j) - j + 1) for j in corners.out_corners if j <= n]
-    den = [linear(mu.part(j) - j) for j in corners.in_corners if j <= n - 1]
-    return num, den
-
-
-def thm_4_2_numerator(lam: Partition) -> ExactPolynomial:
-    """The cleared numerator x * prod(in-corner factors) - prod(out-corner
-    factors) of the THM_4_2 right side."""
-    num, den = g_quotient_factors(lam)
-    return X * prod(den, start=ONE) - prod(num, start=ONE)
 
 
 def _sides(passed: bool, capture: bool, lhs, rhs) -> tuple[Witness, Witness]:

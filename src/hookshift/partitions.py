@@ -49,10 +49,6 @@ class Partition(tuple):
     def size(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def part(self, i: int) -> int:
         """The i-th part (1-based); zero for i beyond the length."""
         if i < 1:
@@ -222,30 +218,6 @@ def syt_count(lam: Partition) -> int:
     return q
 
 
-def syt_count_bruteforce(lam: Partition, limit: int = 10) -> int:
-    """Count standard Young tableaux by exhaustive corner-removal recursion.
-
-    Every filling is traced once (no memoization), so this is an oracle
-    independent of the hook formula.  Guarded by ``limit`` because the
-    count itself is the amount of work.
-    """
-    if lam.size > limit:
-        raise ValueError(f"|{lam}| = {lam.size} exceeds the brute-force limit {limit}")
-
-    def count(shape: tuple[int, ...]) -> int:
-        if not shape:
-            return 1
-        total = 0
-        for i in range(len(shape)):
-            nxt = shape[i + 1] if i + 1 < len(shape) else 0
-            if shape[i] > nxt:
-                smaller = shape[:i] + ((shape[i] - 1,) if shape[i] > 1 else ()) + shape[i + 1:]
-                total += count(smaller)
-        return total
-
-    return count(tuple(lam))
-
-
 def corner_sets(lam: Partition) -> CornerData:
     """In-corner rows, out-corner rows, and the corner-removed partitions."""
     if not lam:
@@ -264,11 +236,6 @@ def _remove_corner(lam: Partition, i: int) -> Partition:
     if parts[-1] == 0:
         parts.pop()
     return Partition(parts)
-
-
-def corner_removals(lam: Partition) -> tuple[Partition, ...]:
-    """The distinct partitions obtained by erasing one corner box."""
-    return corner_sets(lam).removal_list
 
 
 def single_box_additions(lam: Partition) -> tuple[Partition, ...]:

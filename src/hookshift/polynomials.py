@@ -45,13 +45,6 @@ class ExactPolynomial:
     def degree(self) -> int | None:
         return len(self.coeffs) - 1 if self.coeffs else None
 
-    def coefficient(self, k: int) -> Coeff:
-        """Coefficient of x**k, zero beyond the degree."""
-        return self.coeffs[k] if 0 <= k < len(self.coeffs) else 0
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
@@ -186,7 +179,6 @@ class ExactPolynomial:
         return f"ExactPolynomial({str(self)})"
 
 
-ZERO = ExactPolynomial()
 ONE = ExactPolynomial((1,))
 X = ExactPolynomial((0, 1))
 

@@ -9,7 +9,9 @@ from collections import Counter
 from itertools import permutations
 from math import comb, prod
 
-from hookshift import MonomialExpansion, Partition
+from hookshift.partitions import Partition, PartitionError, corner_sets
+from hookshift.polynomials import linear
+from hookshift.schur import MonomialExpansion
 
 
 def hook_by_box_count(lam, cell):
@@ -45,6 +47,48 @@ def pentagonal_counts(limit):
             k += 1
         p[n] = total
     return p
+
+
+def syt_count_bruteforce(lam, limit=10):
+    """Count standard Young tableaux by exhaustive corner-removal recursion.
+
+    Every filling is traced once (no memoization), so this is an oracle
+    independent of the hook formula.  Guarded by ``limit`` because the
+    count itself is the amount of work.
+    """
+    if lam.size > limit:
+        raise ValueError(f"|{lam}| = {lam.size} exceeds the brute-force limit {limit}")
+
+    def count(shape):
+        if not shape:
+            return 1
+        total = 0
+        for i in range(len(shape)):
+            nxt = shape[i + 1] if i + 1 < len(shape) else 0
+            if shape[i] > nxt:
+                smaller = shape[:i] + ((shape[i] - 1,) if shape[i] > 1 else ()) + shape[i + 1:]
+                total += count(smaller)
+        return total
+
+    return count(tuple(lam))
+
+
+def corner_quotient_factors(lam, i):
+    """Linear factors of g_lam(x+1) / g_mu(x) after cancellation, where mu
+    removes the corner in row i.
+
+    Numerator factors are (x + part(j) - j + 1) over the out-corner rows
+    of lam that stay at or below index n; denominator factors are
+    (x + mu_j - j) over the in-corner rows below n.  Increasing row order.
+    """
+    n = lam.size
+    corners = corner_sets(lam)
+    if i not in corners.in_corners:
+        raise PartitionError(f"row {i} is not a corner row of {lam}")
+    mu = corners.removals[i]
+    num = [linear(lam.part(j) - j + 1) for j in corners.out_corners if j <= n]
+    den = [linear(mu.part(j) - j) for j in corners.in_corners if j <= n - 1]
+    return num, den
 
 
 def conjugate_by_cells(lam):

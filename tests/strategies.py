@@ -28,7 +28,7 @@ exact_coeffs = st.one_of(st.integers(-9, 9), small_rationals)
 
 @st.composite
 def polynomials(draw, max_degree=6):
-    from hookshift import ExactPolynomial
+    from hookshift.polynomials import ExactPolynomial
 
     coeffs = draw(st.lists(exact_coeffs, min_size=0, max_size=max_degree + 1))
     return ExactPolynomial(coeffs)

@@ -10,32 +10,30 @@ tests/test_acceptance.py -v -s` to see the lines as they complete.
 from fractions import Fraction
 
 from hookshift import (
-    ExactPolynomial,
     Fault,
     IdentityId,
     Partition,
+    SweepConfig,
     Workspace,
     check_identity,
-    check_schur_recurrences,
-    check_theorem_1_2,
-    corner_quotient_factors,
-    corner_removals,
     corner_sets,
     enumerate_partitions,
     g_poly,
     hook_product,
-    linear,
-    pieri_p1,
+    run_sweep,
     schur_lhs,
     schur_rhs,
     syt_count,
-    syt_count_bruteforce,
-    thm_4_2_numerator,
+)
+from hookshift.polynomials import ExactPolynomial, linear
+from hookshift.schur import (
+    SchurExpansion,
+    check_schur_recurrences,
+    check_theorem_1_2,
+    pieri_p1,
     to_monomial,
 )
-from hookshift.harness import SweepConfig, run_sweep
-from hookshift.schur import SchurExpansion
-from oracles import pentagonal_counts
+from oracles import corner_quotient_factors, pentagonal_counts, syt_count_bruteforce
 
 LAM = Partition((5, 5, 3, 3, 1))
 
@@ -94,7 +92,8 @@ def test_a04_corner_set_worked_example():
     data = corner_sets(LAM)
     assert data.in_corners == (2, 4, 5)
     assert data.out_corners == (1, 3, 5, 6)
-    assert thm_4_2_numerator(LAM) == ExactPolynomial((-75, -38, 17))
+    (outcome,) = check_identity(IdentityId.THM_4_2, LAM, capture=True)
+    assert outcome.rhs == ExactPolynomial((-75, -38, 17))
     print("[A4] PASS corner sets T={2,4,5}, B={1,3,5,6} and cleared numerator "
           "17x^2-38x-75 at 5,5,3,3,1")
 
@@ -127,7 +126,7 @@ def test_a07_hook_ratio_sum_to_20():
         for lam in enumerate_partitions(n):
             terms = [
                 Fraction(hook_product(lam), hook_product(mu))
-                for mu in corner_removals(lam)
+                for mu in corner_sets(lam).removal_list
             ]
             assert sum(terms) == n, lam
             total += 1
@@ -158,7 +157,7 @@ def test_a09_monomial_oracle_and_pieri_adjointness():
         for mu in enumerate_partitions(m):
             image = set(pieri_p1(SchurExpansion.unit(mu)).terms)
             for lam in partitions_above:
-                assert (lam in image) == (mu in corner_removals(lam)), (mu, lam)
+                assert (lam in image) == (mu in corner_sets(lam).removal_list), (mu, lam)
                 pairs += 1
     print(f"[A9] PASS monomial-basis cross-check for n <= 6 and Pieri/corner "
           f"adjointness over {pairs} pairs with |mu| <= 8")

@@ -121,11 +121,17 @@ def test_sweep_json(capsys):
 
 
 def test_sweep_clamps_oracle_bound(capsys):
-    # a small --max-n must not trip over the default oracle bound
+    # the oracle runs at Schur degrees, so --max-n-schur caps its bound
     code, out, _ = run_cli(capsys, "sweep", "--max-n", "3", "--max-n-schur", "2",
                            "--jobs", "1")
     assert code == 0
-    assert json.loads(out)["config"]["max_n_oracles"] == 3
+    assert json.loads(out)["config"]["max_n_oracles"] == 2
+    # and a small --max-n does not
+    code, out, _ = run_cli(capsys, "sweep", "--max-n", "3", "--jobs", "1")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["max_n_oracles"] == 8
+    assert [row["oracle"] for row in doc["theorem_1_2"]] == ["pass"] * 9 + [None]
 
 
 def test_sweep_csv(capsys):

@@ -27,7 +27,10 @@ def test_config_validation():
     with pytest.raises(ValueError):
         SweepConfig(max_n_identities=0)
     with pytest.raises(ValueError):
-        SweepConfig(max_n_identities=5, max_n_oracles=6)
+        # the oracle runs only at the Schur degrees
+        SweepConfig(max_n_theorem_1_2=2, max_n_oracles=8)
+    # a small identity bound does not cap it
+    assert SweepConfig(max_n_identities=3).max_n_oracles == 8
     with pytest.raises(ValueError):
         SweepConfig(output_format="xml")
     with pytest.raises(ValueError):
@@ -41,7 +44,6 @@ def test_config_validation():
         # the sweep would never reach the faulted partition
         SweepConfig(
             max_n_identities=3,
-            max_n_oracles=3,
             fault=Fault(kind="hook", partition=Partition((5,)), row=1, col=1),
         )
 

@@ -5,31 +5,28 @@ import pytest
 from hypothesis import given
 
 from hookshift import (
-    ExactPolynomial,
     Fault,
     IdentityId,
-    ONE,
-    PER_CORNER,
     Partition,
     PartitionError,
     Workspace,
-    X,
     check_identity,
-    corner_quotient_factors,
-    corner_removals,
     corner_sets,
-    difference,
     enumerate_partitions,
     g_poly,
-    g_quotient_factors,
     hook_product,
+    syt_count,
+)
+from hookshift.identities import shifted_part_constants
+from hookshift.polynomials import (
+    ExactPolynomial,
+    ONE,
+    X,
+    difference,
     linear,
     product_of_linear_factors,
-    shifted_part_constants,
-    syt_count,
-    thm_4_2_numerator,
 )
-from oracles import g_value_by_factors, iterated_difference_value
+from oracles import corner_quotient_factors, g_value_by_factors, iterated_difference_value
 from strategies import partitions
 
 LAM = Partition((5, 5, 3, 3, 1))
@@ -57,45 +54,47 @@ def test_g_poly_monic_of_degree_n(lam):
         assert g == ONE
     else:
         assert g.degree == lam.size
-        assert g.coefficient(lam.size) == 1
+        assert g.coeffs[-1] == 1
 
 
 # --- quotient factorizations -------------------------------------------------
+# (x - n) g(x+1) / g(x) cancels to the context's out_prod / in_prod
 
 def test_g_quotient_factors_worked_example():
-    num, den = g_quotient_factors(LAM)
-    assert num == [linear(5), linear(1), linear(-3), linear(-5)]
-    assert den == [linear(3), linear(-1), linear(-4)]
+    ctx = Workspace().context(LAM)
+    assert ctx.out_prod == product_of_linear_factors([5, 1, -3, -5])
+    assert ctx.in_prod == product_of_linear_factors([3, -1, -4])
 
 
 def test_g_quotient_factors_single_box():
-    num, den = g_quotient_factors(Partition((1,)))
-    assert num == [linear(1), linear(-1)]
-    assert den == [X]
+    ctx = Workspace().context(Partition((1,)))
+    assert ctx.out_prod == linear(1) * linear(-1)
+    assert ctx.in_prod == X
 
 
 def test_g_quotient_factors_rejects_empty():
     with pytest.raises(PartitionError):
-        g_quotient_factors(Partition())
+        Workspace().context(Partition())
 
 
 def test_g_quotient_degrees():
     # numerator one factor longer than the denominator, always
     for n in range(1, 13):
+        ws = Workspace()
         for lam in enumerate_partitions(n):
-            num, den = g_quotient_factors(lam)
-            assert len(num) == len(den) + 1
-            assert len(den) == len(corner_sets(lam).in_corners)
+            ctx = ws.context(lam)
+            assert ctx.out_prod.degree == ctx.in_prod.degree + 1
+            assert ctx.in_prod.degree == len(corner_sets(lam).in_corners)
 
 
 def test_g_quotient_is_the_cancelled_quotient():
-    # (x - n) g(x+1) == g(x) * prod(num) / prod(den), cleared
+    # (x - n) g(x+1) == g(x) * out_prod / in_prod, cleared
     for n in range(1, 13):
+        ws = Workspace()
         for lam in enumerate_partitions(n):
-            num, den = g_quotient_factors(lam)
+            ctx = ws.context(lam)
             g = g_poly(lam)
-            lhs = linear(-n) * g.shift(1) * prod(den, start=ONE)
-            assert lhs == g * prod(num, start=ONE)
+            assert linear(-n) * g.shift(1) * ctx.in_prod == g * ctx.out_prod
 
 
 def test_corner_quotient_worked_example():
@@ -120,24 +119,27 @@ def test_corner_quotient_is_the_cancelled_quotient():
                 assert lhs == g_poly(data.removals[i]) * prod(num, start=ONE)
 
 
-def test_thm_4_2_numerator_worked_example():
-    assert thm_4_2_numerator(LAM) == ExactPolynomial((-75, -38, 17))
-    assert str(thm_4_2_numerator(LAM)) == "17x^2-38x-75"
+def _thm_4_2_numerator(lam, ws):
+    # the bare quotient numerator x * in_prod - out_prod, as THM_4_2's witness
+    (outcome,) = check_identity(IdentityId.THM_4_2, lam, ws, capture=True)
+    return outcome.rhs
 
 
 def test_thm_4_2_numerator_degree_drops_twice():
     # both degree-(|T|+1) leading terms of x*prod_in and prod_out cancel,
     # leaving degree at most |T| - 1
     for n in range(1, 15):
+        ws = Workspace()
         for lam in enumerate_partitions(n):
             t = len(corner_sets(lam).in_corners)
-            numerator = thm_4_2_numerator(lam)
+            numerator = _thm_4_2_numerator(lam, ws)
             assert numerator.degree is None or numerator.degree <= t - 1, lam
 
 
 def test_route_bridge():
     # the g-route and the corner-factor route to the same cleared right side
     for n in range(1, 13):
+        ws = Workspace()
         for lam in enumerate_partitions(n):
             data = corner_sets(lam)
             g = g_poly(lam)
@@ -147,7 +149,7 @@ def test_route_bridge():
                 if i not in set(data.in_corners)
             )
             prod_in = product_of_linear_factors(lam.part(i) - i for i in data.in_corners)
-            assert X * g - linear(-n) * g.shift(1) == thm_4_2_numerator(lam) * rest
+            assert X * g - linear(-n) * g.shift(1) == _thm_4_2_numerator(lam, ws) * rest
             assert g == prod_in * rest
 
 
@@ -171,7 +173,7 @@ def test_check_identity_rejects_non_identity():
 
 
 def test_per_corner_identities_localize():
-    for identity in PER_CORNER:
+    for identity in (IdentityId.CORNER_RATIO_2_2, IdentityId.QUOTIENT_4_2):
         outcomes = check_identity(identity, LAM)
         assert [o.corner_index for o in outcomes] == [2, 4, 5]
         assert all(o.passed for o in outcomes)
@@ -266,7 +268,7 @@ def test_cor_4_4_sum_is_exactly_n():
         for lam in enumerate_partitions(n):
             total = sum(
                 Fraction(hook_product(lam), hook_product(mu))
-                for mu in corner_removals(lam)
+                for mu in corner_sets(lam).removal_list
             )
             assert total == n
 
@@ -274,7 +276,9 @@ def test_cor_4_4_sum_is_exactly_n():
 def test_cor_4_4_summands_need_not_be_integers():
     # the sum is n, but individual hook-product ratios can be proper fractions
     lam = Partition((2, 1))
-    ratios = [Fraction(hook_product(lam), hook_product(mu)) for mu in corner_removals(lam)]
+    ratios = [
+        Fraction(hook_product(lam), hook_product(mu)) for mu in corner_sets(lam).removal_list
+    ]
     assert sorted(ratios) == [Fraction(3, 2), Fraction(3, 2)]
     assert sum(ratios) == 3
 
@@ -287,9 +291,9 @@ def test_top_two_coefficients_vanish_term_by_term():
         for lam in enumerate_partitions(n):
             g = g_poly(lam)
             dg = g.shift(1) - g
-            assert dg.degree == n - 1 if n >= 1 else dg.is_zero()
-            assert dg.coefficient(n - 1) == n
-            mus = corner_removals(lam)
+            assert dg.degree == n - 1
+            assert dg.coeffs[n - 1] == n
+            mus = corner_sets(lam).removal_list
             assert Fraction(n, hook_product(lam)) == sum(
                 Fraction(1, hook_product(mu)) for mu in mus
             )
@@ -301,7 +305,7 @@ def test_difference_identity_at_shifted_roots():
         for lam in enumerate_partitions(n):
             g = g_poly(lam)
             h = hook_product(lam)
-            mus = corner_removals(lam)
+            mus = corner_sets(lam).removal_list
             for i in range(1, n):
                 a = i - lam.part(i)
                 lhs = Fraction(g(a + 1) - g(a), h)
@@ -371,12 +375,13 @@ def test_unfaulted_workspace_matches_pure_functions():
             assert ctx.corners == corner_sets(lam)
             g = g_poly(lam)
             assert (ctx.h, ctx.g, ctx.g_next) == (hook_product(lam), g, g.shift(1))
-            mus = corner_removals(lam)
+            mus = ctx.corners.removal_list
             assert ctx.mu_h == tuple(hook_product(mu) for mu in mus)
             assert ctx.mu_g == tuple(g_poly(mu) for mu in mus)
             assert Fraction(factorial(n), ctx.h) == syt_count(lam)
             assert ctx.mu_h_prod == prod(hook_product(mu) for mu in mus)
-            num, den = g_quotient_factors(lam)
+            den = [linear(lam.part(i) - i) for i in ctx.corners.in_corners]
+            num = [linear(lam.part(i) - i + 1) for i in ctx.corners.out_corners]
             assert (ctx.in_prod, ctx.out_prod) == (prod(den, start=ONE), prod(num, start=ONE))
             # sum over in-corner rows of (H/H_mu) / (x + part(i) - i), cleared
             # by the product of those factors and by the product of the H_mu

@@ -5,25 +5,23 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hookshift import (
-    Cell,
     Partition,
     PartitionError,
-    corner_removals,
     corner_sets,
     enumerate_partitions,
     hook_length,
     hook_lengths,
     hook_product,
     parse_partition,
-    single_box_additions,
     syt_count,
-    syt_count_bruteforce,
 )
+from hookshift.partitions import Cell, single_box_additions
 from oracles import (
     conjugate_by_cells,
     hook_by_box_count,
     partitions_bruteforce,
     pentagonal_counts,
+    syt_count_bruteforce,
 )
 from strategies import partitions
 
@@ -33,7 +31,7 @@ from strategies import partitions
 def test_partition_invariants():
     assert Partition() == ()
     assert Partition((5, 5, 3, 3, 1)).size == 17
-    assert Partition((5, 5, 3, 3, 1)).length == 5
+    assert len(Partition((5, 5, 3, 3, 1))) == 5
     with pytest.raises(PartitionError):
         Partition((3, 5))
     with pytest.raises(PartitionError):
@@ -197,7 +195,9 @@ def test_syt_corner_recurrence():
     # f_lam equals the sum of f over the one-box removals
     for n in range(1, 13):
         for lam in enumerate_partitions(n):
-            assert syt_count(lam) == sum(syt_count(mu) for mu in corner_removals(lam))
+            assert syt_count(lam) == sum(
+                syt_count(mu) for mu in corner_sets(lam).removal_list
+            )
 
 
 # --- corners ----------------------------------------------------------------
@@ -224,9 +224,9 @@ def test_corner_sets_rejects_empty():
 
 
 def test_corner_removals_examples():
-    assert corner_removals(Partition((1,))) == ((),)
-    assert corner_removals(Partition((2, 2))) == ((2, 1),)
-    assert set(corner_removals(Partition((5, 5, 3, 3, 1)))) == {
+    assert corner_sets(Partition((1,))).removal_list == ((),)
+    assert corner_sets(Partition((2, 2))).removal_list == ((2, 1),)
+    assert set(corner_sets(Partition((5, 5, 3, 3, 1))).removal_list) == {
         (5, 4, 3, 3, 1),
         (5, 5, 3, 2, 1),
         (5, 5, 3, 3),
@@ -238,7 +238,7 @@ def test_corner_counts_up_to_20():
         for lam in enumerate_partitions(n):
             data = corner_sets(lam)
             assert len(data.out_corners) == len(data.in_corners) + 1
-            removals = corner_removals(lam)
+            removals = data.removal_list
             assert len(removals) == len(data.in_corners)
             assert all(mu.size == n - 1 for mu in removals)
             assert len(set(removals)) == len(removals)
@@ -246,10 +246,10 @@ def test_corner_counts_up_to_20():
 
 @given(partitions(min_size=1))
 def test_removal_then_addition_round_trip(lam):
-    for mu in corner_removals(lam):
+    for mu in corner_sets(lam).removal_list:
         assert lam in single_box_additions(mu)
     for big in single_box_additions(lam):
-        assert lam in corner_removals(big)
+        assert lam in corner_sets(big).removal_list
 
 
 # --- conjugation ------------------------------------------------------------
@@ -280,7 +280,6 @@ def test_reciprocal_hook_recurrence_cleared_up_to_20():
     # n * prod of corner hook products == H_lam * sum of partial products
     for n in range(1, 21):
         for lam in enumerate_partitions(n):
-            mus = corner_removals(lam)
-            hooks = [hook_product(mu) for mu in mus]
+            hooks = [hook_product(mu) for mu in corner_sets(lam).removal_list]
             big = prod(hooks)
             assert n * big == hook_product(lam) * sum(big // h for h in hooks)
