@@ -17,7 +17,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
-from math import factorial, prod
+from math import comb, factorial, prod
 from typing import Optional, Union
 
 from .partitions import (
@@ -35,7 +35,6 @@ from .polynomials import (
     ExactPolynomial,
     ONE,
     X,
-    difference,
     linear,
     product_of_linear_factors,
     times_linear_factors,
@@ -167,8 +166,7 @@ class Fault:
 
 def shifted_part_constants(lam: Partition) -> list[int]:
     """The constants part(i) - i for i = 1..n of the g-polynomial factors."""
-    n = lam.size
-    return [lam.part(i) - i for i in range(1, n + 1)]
+    return [p - i for i, p in enumerate(lam, 1)] + [-i for i in range(len(lam) + 1, lam.size + 1)]
 
 
 def g_poly(lam: Partition) -> ExactPolynomial:
@@ -268,7 +266,7 @@ class Workspace:
             # gains that row's factor, which every earlier term also takes
             in_prod, corner_sum = ONE, ExactPolynomial()
             for i, h_mu in zip(corners.in_corners, mu_h):
-                factor = linear(lam.part(i) - i)
+                factor = linear(lam[i - 1] - i)
                 corner_sum = corner_sum * factor + in_prod * (h * (big // h_mu))
                 in_prod = in_prod * factor
             self._context = PartitionContext(
@@ -323,11 +321,10 @@ def _check_rec_1_3(ctx: PartitionContext, capture: bool):
 def _check_remark_dn(ctx: PartitionContext, capture: bool):
     # cleared by H: the n-fold difference of g against f * H, with f from
     # a formula that reads no hook length.  g is monic of degree n even
-    # under a fault, so the difference is a single constant.
-    d = ctx.g
-    for _ in range(ctx.lam.size):
-        d = difference(d)
-    (lhs,) = d.coeffs
+    # under a fault, so the difference is a single constant, the binomial
+    # sum of g's own values at 0..n (Boole's finite-difference identity).
+    n, g = ctx.lam.size, ctx.g
+    lhs = sum((-1) ** (n - k) * comb(n, k) * g(k) for k in range(n + 1))
     rhs = syt_count(ctx.lam) * ctx.h
     passed = lhs == rhs
     return [(None, passed, *_sides(passed, capture, lhs, rhs))]

@@ -222,20 +222,19 @@ def corner_sets(lam: Partition) -> CornerData:
     """In-corner rows, out-corner rows, and the corner-removed partitions."""
     if not lam:
         raise PartitionError("the empty partition has no corners")
-    in_corners = tuple(
-        i for i in range(1, len(lam) + 1) if lam.part(i) > lam.part(i + 1)
-    )
+    in_corners = tuple(i for i, (p, q) in enumerate(zip(lam, (*lam[1:], 0)), 1) if p > q)
     out_corners = (1,) + tuple(i + 1 for i in in_corners)
     removals = {i: _remove_corner(lam, i) for i in in_corners}
     return CornerData(in_corners, out_corners, removals)
 
 
 def _remove_corner(lam: Partition, i: int) -> Partition:
+    # trusted constructor: a partition less a corner box is a partition
     parts = list(lam)
     parts[i - 1] -= 1
     if parts[-1] == 0:
         parts.pop()
-    return Partition(parts)
+    return tuple.__new__(Partition, parts)
 
 
 def single_box_additions(lam: Partition) -> tuple[Partition, ...]:

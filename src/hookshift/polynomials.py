@@ -203,11 +203,6 @@ def times_linear_factors(p: ExactPolynomial, constants: Iterable[Coeff]) -> Exac
     return _make(coeffs)
 
 
-def difference(p: ExactPolynomial) -> ExactPolynomial:
-    """Forward difference p(x+1) - p(x); drops the degree by one."""
-    return p.shift(1) - p
-
-
 def rising_binomial(k: int) -> ExactPolynomial:
     """The degree-k polynomial x(x+1)...(x+k-1) / k!."""
     if k < 0:

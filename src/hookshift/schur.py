@@ -252,22 +252,30 @@ def kostka(lam: Partition, mu: Partition) -> int:
     return fill(0, None)
 
 
-def to_monomial(a: SchurExpansion) -> MonomialExpansion:
+def to_monomial(
+    a: SchurExpansion, table: dict[Partition, list[tuple[Partition, int]]] | None = None
+) -> MonomialExpansion:
     """Expand Schur terms into the monomial basis through Kostka numbers.
 
-    Equal Schur expansions have equal images, so comparing two images
-    cross-checks the Kostka arithmetic, not the Schur coefficients.
+    ``table`` maps each shape lam to its nonzero (mu, K(lam, mu)) pairs.
+    Rows missing from it are enumerated and added, so expansions that
+    share a table compute each Kostka number once.  Equal Schur
+    expansions have equal images, so comparing two images cross-checks
+    the Kostka arithmetic, not the Schur coefficients.
     """
     degree = a.degree
     out: dict[Partition, object] = {}
     if degree is None:
         return MonomialExpansion()
-    shapes = list(enumerate_partitions(degree))
+    table = {} if table is None else table
+    shapes = None
     for lam, c in a.terms.items():
-        for mu in shapes:
-            k = kostka(lam, mu)
-            if k:
-                add = c * k
-                out[mu] = out[mu] + add if mu in out else add
+        row = table.get(lam)
+        if row is None:
+            shapes = shapes or list(enumerate_partitions(degree))
+            row = table[lam] = [(mu, k) for mu in shapes if (k := kostka(lam, mu))]
+        for mu, k in row:
+            add = c * k
+            out[mu] = out[mu] + add if mu in out else add
     return MonomialExpansion(out)
 

@@ -7,7 +7,7 @@ derivations.
 
 from collections import Counter
 from itertools import permutations
-from math import comb, prod
+from math import prod
 
 from hookshift.partitions import Partition, PartitionError, corner_sets
 from hookshift.polynomials import linear
@@ -146,10 +146,11 @@ def g_value_by_factors(lam, x):
     return prod(x + lam.part(i) - i for i in range(1, lam.size + 1))
 
 
-def iterated_difference_value(f, m, x):
-    """The m-fold forward difference of f at x, by the binomial sum
-    sum over k of (-1)^(m-k) C(m,k) f(x + k); no polynomial shifts."""
-    return sum((-1) ** (m - k) * comb(m, k) * f(x + k) for k in range(m + 1))
+def difference(p):
+    """Forward difference p(x+1) - p(x) by a polynomial shift; drops the
+    degree by one.  Applied n times it is the oracle for REMARK_DN's
+    binomial sum of values."""
+    return p.shift(1) - p
 
 
 def elementary_value(m, xs):

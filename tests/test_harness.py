@@ -3,8 +3,17 @@ from collections import Counter
 
 import pytest
 
-from hookshift import Fault, IdentityId, Partition, enumerate_partitions, parse_partition
-from hookshift.harness import SweepConfig, render_report, run_sweep
+from hookshift import (
+    Fault,
+    IdentityId,
+    Partition,
+    enumerate_partitions,
+    harness,
+    parse_partition,
+    schur,
+)
+from hookshift.harness import SweepConfig, _theorem_unit, render_report, run_sweep
+from hookshift.schur import to_monomial
 
 
 def small_config(**kw):
@@ -193,6 +202,36 @@ def test_fault_sensitivity_matrix():
     for kind, catchers in SENSITIVITY.items():
         expected = {i.value: faults[kind] if i.value in catchers else 0 for i in IdentityId}
         assert {i.value: caught[kind][i.value] for i in IdentityId} == expected, kind
+
+
+def test_oracle_enumerates_each_kostka_number_once(monkeypatch):
+    # both sides of a degree read one Kostka table: p(n)^2 enumerations,
+    # not one full table per side
+    calls = Counter()
+    kostka = schur.kostka
+
+    def counted(lam, mu):
+        calls[lam.size] += 1
+        return kostka(lam, mu)
+
+    monkeypatch.setattr(schur, "kostka", counted)
+    for n in range(7):
+        [row] = _theorem_unit(n, n)
+        assert row["oracle"] == "pass"
+        assert calls[n] == len(list(enumerate_partitions(n))) ** 2, n
+
+
+def test_oracle_verdict_unchanged_to_8(monkeypatch):
+    # the shared table gives the verdict of one table per side
+    for n in range(9):
+        [row] = _theorem_unit(n, n)
+        separate = to_monomial(schur.schur_lhs(n)) == to_monomial(schur.schur_rhs(n))
+        assert row["oracle"] == ("pass" if separate else "fail") == "pass", n
+    # and it still fails when the sides' monomial images differ
+    rhs = schur.schur_rhs
+    monkeypatch.setattr(harness, "schur_rhs", lambda n: rhs(n).scale(2))
+    [row] = _theorem_unit(3, 3)
+    assert (row["equality"], row["oracle"]) == ("pass", "fail")
 
 
 def test_fault_crosses_process_boundary():

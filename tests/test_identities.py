@@ -22,11 +22,10 @@ from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
     X,
-    difference,
     linear,
     product_of_linear_factors,
 )
-from oracles import corner_quotient_factors, g_value_by_factors, iterated_difference_value
+from oracles import corner_quotient_factors, difference, g_value_by_factors
 from strategies import partitions
 
 LAM = Partition((5, 5, 3, 3, 1))
@@ -248,19 +247,27 @@ def test_remark_dn_by_hand():
     assert (outcome.lhs, outcome.rhs) == (24, 2 * 16)
 
 
-def test_iterated_difference_matches_binomial_sum_to_8():
-    # every m-fold difference of g, m <= n, against the binomial-sum oracle
-    # on the factors of g; at m = n both give the constant n!
-    for n in range(1, 9):
-        for lam in enumerate_partitions(n):
-            d = g_poly(lam)
-            for m in range(n + 1):
-                for x in range(-n, n + 1):
-                    want = iterated_difference_value(lambda t: g_value_by_factors(lam, t), m, x)
-                    assert d(x) == want, (lam, m, x)
-                if m < n:
-                    d = difference(d)
-            assert d == factorial(n), lam
+def test_iterated_difference_matches_binomial_sum_to_10():
+    # REMARK_DN's left side is the binomial sum of the context's own g at
+    # 0..n; the oracle applies the forward difference n times to that g.
+    # Every partition of size <= 10, then a hook-faulted and a
+    # g-factor-faulted context, whose g is not g_poly's; an unfaulted g
+    # also agrees with its factors taken one by one
+    cases = [(lam, Workspace()) for n in range(1, 11) for lam in enumerate_partitions(n)]
+    hook = Fault(kind="hook", partition=Partition((3, 2, 1)), row=1, col=2)
+    gfac = Fault(kind="g-factor", partition=Partition((4, 1)), index=3)
+    cases += [(f.partition, Workspace(f)) for f in (hook, gfac)]
+    for lam, ws in cases:
+        d = ws.context(lam).g
+        if ws.fault is None:
+            assert all(d(x) == g_value_by_factors(lam, x) for x in range(-9, 10)), lam
+        for _ in range(lam.size):
+            d = difference(d)
+        (outcome,) = check_identity(IdentityId.REMARK_DN, lam, ws, capture=True)
+        assert type(outcome.lhs) is int, lam
+        assert d == outcome.lhs == factorial(lam.size), lam
+        assert outcome.passed == (ws.fault is not hook), lam
+    assert Workspace(gfac).context(gfac.partition).g != g_poly(gfac.partition)
 
 
 def test_cor_4_4_sum_is_exactly_n():

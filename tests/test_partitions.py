@@ -233,6 +233,18 @@ def test_corner_removals_examples():
     }
 
 
+def test_corner_removals_are_valid_partitions_to_12():
+    # removals skip validation, yet key the Workspace memo: each must be
+    # the Partition the validated constructor builds, hash and str included
+    for n in range(1, 13):
+        for lam in enumerate_partitions(n):
+            for mu in corner_sets(lam).removals.values():
+                valid = Partition(list(mu))
+                assert type(mu) is Partition, lam
+                assert mu == valid and hash(mu) == hash(valid), lam
+                assert str(mu) == str(valid), lam
+
+
 def test_corner_counts_up_to_20():
     for n in range(1, 21):
         for lam in enumerate_partitions(n):

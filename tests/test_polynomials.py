@@ -8,12 +8,12 @@ from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
     X,
-    difference,
     linear,
     product_of_linear_factors,
     rising_binomial,
     times_linear_factors,
 )
+from oracles import difference
 from strategies import exact_coeffs, polynomials
 
 
