@@ -65,8 +65,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--max-n-schur", type=int, default=9,
                    help="bound for the Schur-identity checks (default 9)")
     p.add_argument("--max-n-oracle", type=int, default=8,
-                   help="bound for the monomial-oracle cross-check, capped by "
-                   "--max-n-schur (default 8)")
+                   help="bound for the oracle, a spot check of the Schur identity "
+                   "at one point, capped by --max-n-schur (default 8)")
     p.add_argument("--identities", default="all",
                    help="comma-separated identity ids (default all)")
     p.add_argument("--jobs", default="auto", help="worker count or 'auto'")

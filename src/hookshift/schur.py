@@ -5,9 +5,12 @@ commutative ring: int, Fraction, or ExactPolynomial all work.  The only
 product ever needed is multiplication by the first power sum, which the
 Pieri rule turns into pure bookkeeping on partitions, so Schur-basis
 equality of the two sides of the main symmetric-function identity is a
-dictionary comparison.  A monomial-basis expansion through semistandard
-tableau counts cross-checks the Kostka arithmetic.  It reads only the two
-Schur term maps, so it is not an independent route to the identity.
+dictionary comparison.  A second, independent check evaluates the
+identity at one point: the parameter x at 1/3 and n variables at
+1, ..., n, with the left side computed from power sums and elementary
+values directly and each Schur function as a ratio of fraction-free
+determinants (the bialternant formula).  One point is a spot check, not
+a proof.
 """
 
 from __future__ import annotations
@@ -23,7 +26,12 @@ from .partitions import (
     hook_product,
     single_box_additions,
 )
-from .polynomials import rising_binomial
+from .polynomials import product_of_linear_factors, rising_binomial
+
+# The parameter x at the oracle's evaluation point: not an integer, so no
+# rising binomial vanishes there.  The variables there are 1, ..., n,
+# distinct so that the Vandermonde determinant is nonzero.
+ORACLE_X0 = Fraction(1, 3)
 
 
 class SchurExpansion:
@@ -97,31 +105,6 @@ class SchurExpansion:
         return f"SchurExpansion({body or '0'})"
 
 
-class MonomialExpansion:
-    """Linear combination of monomial symmetric functions, same contract as
-    SchurExpansion but in the monomial basis."""
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Partition, object] = {}):
-        self.terms = {Partition(mu): c for mu, c in terms.items() if c}
-
-    def items(self):
-        return [(mu, self.terms[mu]) for mu in sorted(self.terms, reverse=True)]
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, MonomialExpansion):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"m[{mu}]*({c})" for mu, c in self.items())
-        return f"MonomialExpansion({body or '0'})"
-
-
 def pieri_p1(a: SchurExpansion) -> SchurExpansion:
     """Multiply by the first power sum: each s_mu maps to the sum of s_lam
     over the partitions lam that add one box to mu.  Raises the degree by
@@ -133,14 +116,6 @@ def pieri_p1(a: SchurExpansion) -> SchurExpansion:
     return SchurExpansion(out)
 
 
-def elementary_as_schur(k: int) -> SchurExpansion:
-    """The k-th elementary symmetric function, i.e. the single-column Schur
-    function s_(1^k)."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return SchurExpansion.unit(Partition((1,) * k))
-
-
 def schur_lhs(n: int) -> SchurExpansion:
     """Sum over k of rising_binomial(k) * p1^k e_(n-k), in the Schur basis.
 
@@ -150,7 +125,7 @@ def schur_lhs(n: int) -> SchurExpansion:
         raise ValueError("n must be nonnegative")
     total = SchurExpansion()
     for k in range(n + 1):
-        term = elementary_as_schur(n - k)
+        term = SchurExpansion.unit(Partition((1,) * (n - k)))  # e_(n-k)
         for _ in range(k):
             term = pieri_p1(term)
         total = total + term.scale(rising_binomial(k))
@@ -217,65 +192,57 @@ def check_schur_recurrences(n: int) -> VerificationOutcome:
     return _schur_outcome("REC_3")
 
 
-def kostka(lam: Partition, mu: Partition) -> int:
-    """Number of semistandard tableaux of shape lam and content mu, by
-    exhaustive row-by-row enumeration, whose cost grows with the count."""
-    lam, mu = Partition(lam), Partition(mu)
-    if lam.size != mu.size:
-        raise ValueError(f"|{lam}| = {lam.size} but |{mu}| = {mu.size}")
-    if not lam:
-        return 1
-    rows = list(lam)
-    values = len(mu)
-    remaining = list(mu)  # how many of each value 1..values are left to place
-
-    def fill(r: int, prev_row: list[int] | None) -> int:
-        if r == len(rows):
-            return 1
-        row = [0] * rows[r]
-
-        def place(col: int, left_min: int) -> int:
-            if col == rows[r]:
-                return fill(r + 1, row)
-            lo = left_min if prev_row is None else max(left_min, prev_row[col] + 1)
-            total = 0
-            for v in range(lo, values + 1):
-                if remaining[v - 1]:
-                    remaining[v - 1] -= 1
-                    row[col] = v
-                    total += place(col + 1, v)  # rows weakly increase
-                    remaining[v - 1] += 1
-            return total
-
-        return place(0, 1)
-
-    return fill(0, None)
+def det_bareiss(matrix: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free Bareiss (1968)
+    elimination: every division is exact.  The 0x0 determinant is 1."""
+    m = [list(row) for row in matrix]
+    size = len(m)
+    sign, prev = 1, 1
+    for k in range(size):
+        pivot = next((r for r in range(k, size) if m[r][k]), None)
+        if pivot is None:
+            return 0
+        if pivot != k:
+            m[k], m[pivot] = m[pivot], m[k]
+            sign = -sign
+        for i in range(k + 1, size):
+            for j in range(k + 1, size):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+        prev = m[k][k]
+    return sign * prev
 
 
-def to_monomial(
-    a: SchurExpansion, table: dict[Partition, list[tuple[Partition, int]]] | None = None
-) -> MonomialExpansion:
-    """Expand Schur terms into the monomial basis through Kostka numbers.
+def schur_value(lam: Partition, xs: tuple[int, ...]) -> int:
+    """s_lam at the distinct integers xs by the bialternant formula
+    (Macdonald I.3): det(x_i^(lam_j + k - j)) / det(x_i^(k - j)) with k
+    variables, an exact integer quotient.  Zero when lam has more than k
+    rows."""
+    k = len(xs)
+    if len(lam) > k:
+        return 0
+    num = det_bareiss([[x ** (lam.part(j) + k - j) for j in range(1, k + 1)] for x in xs])
+    vandermonde = det_bareiss([[x ** (k - j) for j in range(1, k + 1)] for x in xs])
+    return num // vandermonde
 
-    ``table`` maps each shape lam to its nonzero (mu, K(lam, mu)) pairs.
-    Rows missing from it are enumerated and added, so expansions that
-    share a table compute each Kostka number once.  Equal Schur
-    expansions have equal images, so comparing two images cross-checks
-    the Kostka arithmetic, not the Schur coefficients.
+
+def check_at_point(n: int) -> bool:
+    """Evaluate the main identity at x = ORACLE_X0 and the variables
+    1, ..., n, and report whether both Schur sides equal the direct value.
+
+    The direct value sum_k rising_binomial(k)(x) p1^k e_(n-k) reads no
+    Schur basis: p1 is the sum of the variables and e_m are the
+    coefficients of prod (x + x_i).  Each side is sum_lam c_lam(x) s_lam
+    with s_lam from determinants, so this reads the term maps only
+    through their values, and a wrong map fails it unless its error
+    vanishes at this one point.
     """
-    degree = a.degree
-    out: dict[Partition, object] = {}
-    if degree is None:
-        return MonomialExpansion()
-    table = {} if table is None else table
-    shapes = None
-    for lam, c in a.terms.items():
-        row = table.get(lam)
-        if row is None:
-            shapes = shapes or list(enumerate_partitions(degree))
-            row = table[lam] = [(mu, k) for mu in shapes if (k := kostka(lam, mu))]
-        for mu, k in row:
-            add = c * k
-            out[mu] = out[mu] + add if mu in out else add
-    return MonomialExpansion(out)
-
+    if n < 0:
+        raise ValueError(f"n = {n} is negative")
+    xs = tuple(range(1, n + 1))
+    p1 = sum(xs)
+    e = product_of_linear_factors(xs).coeffs  # e_(n-k) is the coefficient of x^k
+    direct = sum(rising_binomial(k)(ORACLE_X0) * p1**k * e[k] for k in range(n + 1))
+    return all(
+        sum(c(ORACLE_X0) * schur_value(lam, xs) for lam, c in side(n).terms.items()) == direct
+        for side in (schur_lhs, schur_rhs)
+    )

@@ -9,9 +9,9 @@ from collections import Counter
 from itertools import permutations
 from math import prod
 
-from hookshift.partitions import Partition, PartitionError, corner_sets
+from hookshift.partitions import Partition, PartitionError, corner_sets, enumerate_partitions
 from hookshift.polynomials import linear
-from hookshift.schur import MonomialExpansion
+from hookshift.schur import SchurExpansion
 
 
 def hook_by_box_count(lam, cell):
@@ -101,45 +101,6 @@ def conjugate_by_cells(lam):
     return Partition(sorted(rows.values(), reverse=True))
 
 
-def det_bareiss(matrix):
-    """Exact integer determinant by fraction-free Bareiss elimination."""
-    m = [row[:] for row in matrix]
-    n = len(m)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for r in range(k + 1, n):
-                if m[r][k] != 0:
-                    m[k], m[r] = m[r], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
-
-
-def schur_value_bialternant(lam, xs):
-    """s_lam evaluated at distinct integers xs, as a ratio of alternants.
-
-    Completely independent of tableau or Pieri combinatorics: the value is
-    det(x_i^(lam_j + k - j)) / det(x_i^(k - j)), an exact integer ratio.
-    """
-    k = len(xs)
-    if len(lam) > k:
-        raise ValueError("need at least as many variables as rows")
-    exps = [lam.part(j) + k - j for j in range(1, k + 1)]
-    num = det_bareiss([[x ** e for e in exps] for x in xs])
-    den = det_bareiss([[x ** (k - j) for j in range(1, k + 1)] for x in xs])
-    q, r = divmod(num, den)
-    assert r == 0
-    return q
-
-
 def g_value_by_factors(lam, x):
     """g_lam(x) as the product of its n factors (x + part(i) - i), taken
     one by one at the point x."""
@@ -158,6 +119,96 @@ def elementary_value(m, xs):
     from itertools import combinations
 
     return sum(prod(c) for c in combinations(xs, m)) if m <= len(xs) else 0
+
+
+class MonomialExpansion:
+    """Linear combination of monomial symmetric functions, same contract as
+    SchurExpansion but in the monomial basis."""
+
+    __slots__ = ("terms",)
+
+    def __init__(self, terms={}):
+        self.terms = {Partition(mu): c for mu, c in terms.items() if c}
+
+    def items(self):
+        return [(mu, self.terms[mu]) for mu in sorted(self.terms, reverse=True)]
+
+    def __eq__(self, other) -> bool:
+        if not isinstance(other, MonomialExpansion):
+            return NotImplemented
+        return self.terms == other.terms
+
+    def __repr__(self) -> str:
+        body = ", ".join(f"m[{mu}]*({c})" for mu, c in self.items())
+        return f"MonomialExpansion({body or '0'})"
+
+
+def kostka(lam: Partition, mu: Partition) -> int:
+    """Number of semistandard tableaux of shape lam and content mu, by
+    exhaustive row-by-row enumeration, whose cost grows with the count."""
+    lam, mu = Partition(lam), Partition(mu)
+    if lam.size != mu.size:
+        raise ValueError(f"|{lam}| = {lam.size} but |{mu}| = {mu.size}")
+    if not lam:
+        return 1
+    rows = list(lam)
+    values = len(mu)
+    remaining = list(mu)  # how many of each value 1..values are left to place
+
+    def fill(r: int, prev_row: list[int] | None) -> int:
+        if r == len(rows):
+            return 1
+        row = [0] * rows[r]
+
+        def place(col: int, left_min: int) -> int:
+            if col == rows[r]:
+                return fill(r + 1, row)
+            lo = left_min if prev_row is None else max(left_min, prev_row[col] + 1)
+            total = 0
+            for v in range(lo, values + 1):
+                if remaining[v - 1]:
+                    remaining[v - 1] -= 1
+                    row[col] = v
+                    total += place(col + 1, v)  # rows weakly increase
+                    remaining[v - 1] += 1
+            return total
+
+        return place(0, 1)
+
+    return fill(0, None)
+
+
+def to_monomial(a: SchurExpansion) -> MonomialExpansion:
+    """Expand Schur terms into the monomial basis through Kostka numbers.
+
+    Equal Schur expansions have equal images, so comparing two images
+    cross-checks the Kostka arithmetic, not the Schur coefficients.
+    """
+    if a.degree is None:
+        return MonomialExpansion()
+    shapes = list(enumerate_partitions(a.degree))
+    out: dict[Partition, object] = {}
+    for lam, c in a.terms.items():
+        for mu in shapes:
+            if k := kostka(lam, mu):
+                out[mu] = out[mu] + c * k if mu in out else c * k
+    return MonomialExpansion(out)
+
+
+def monomial_value(mu, xs):
+    """m_mu at the values xs: x^alpha summed over the distinct
+    rearrangements alpha of mu padded with zeros to len(xs)."""
+    if len(mu) > len(xs):
+        return 0
+    padded = tuple(mu) + (0,) * (len(xs) - len(mu))
+    return sum(prod(x**a for x, a in zip(xs, alpha)) for alpha in set(permutations(padded)))
+
+
+def schur_value_by_kostka(lam, xs):
+    """s_lam at the values xs as sum_mu K(lam, mu) m_mu(xs): tableau
+    counting, with no determinant."""
+    image = to_monomial(SchurExpansion.unit(lam))
+    return sum(k * monomial_value(mu, xs) for mu, k in image.terms.items())
 
 
 def monomial_times_p1(a: MonomialExpansion) -> MonomialExpansion:

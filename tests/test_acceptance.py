@@ -31,9 +31,8 @@ from hookshift.schur import (
     check_schur_recurrences,
     check_theorem_1_2,
     pieri_p1,
-    to_monomial,
 )
-from oracles import corner_quotient_factors, pentagonal_counts, syt_count_bruteforce
+from oracles import corner_quotient_factors, pentagonal_counts, syt_count_bruteforce, to_monomial
 
 LAM = Partition((5, 5, 3, 3, 1))
 

@@ -15,16 +15,23 @@ from hookshift import (
 )
 from hookshift.polynomials import ExactPolynomial, X, rising_binomial
 from hookshift.schur import (
-    MonomialExpansion,
     SchurExpansion,
+    check_at_point,
     check_schur_recurrences,
     check_theorem_1_2,
-    elementary_as_schur,
-    kostka,
+    det_bareiss,
     pieri_p1,
+    schur_value,
+)
+from oracles import (
+    MonomialExpansion,
+    elementary_value,
+    kostka,
+    monomial_times_p1,
+    monomial_value,
+    schur_value_by_kostka,
     to_monomial,
 )
-from oracles import monomial_times_p1
 from strategies import partitions
 
 P = Partition
@@ -94,17 +101,17 @@ def test_pieri_adjoint_to_corner_removal(mu):
 # --- elementary symmetric functions ---------------------------------------------
 
 def test_elementary_as_schur():
-    assert elementary_as_schur(0).terms == {P(): 1}
-    assert elementary_as_schur(1).terms == {P((1,)): 1}
-    assert elementary_as_schur(3).terms == {P((1, 1, 1)): 1}
+    # at x = 0 only the k = 0 term of schur_lhs survives: e_n = s_(1^n)
+    for n, column in ((0, P()), (1, P((1,))), (3, P((1, 1, 1)))):
+        assert schur_lhs(n).map_coefficients(lambda c: c(0)).terms == {column: 1}
     with pytest.raises(ValueError):
-        elementary_as_schur(-1)
+        schur_lhs(-1)
 
 
 def test_elementary_matches_monomial_expansion():
     # the single-column Schur function expands to the single monomial m_(1^k)
     for k in range(0, 7):
-        m = to_monomial(elementary_as_schur(k))
+        m = to_monomial(SchurExpansion.unit(P((1,) * k)))
         assert m.terms == {P((1,) * k): 1}
 
 
@@ -217,33 +224,57 @@ def test_sides_agree_in_the_monomial_basis():
 
 
 def test_identity_at_integer_specializations():
-    # evaluate both sides as honest numbers: Schur values through bialternant
-    # determinants, elementary/power-sum values directly from the variables,
-    # and the parameter x at integer points -- nothing here shares code with
-    # the Pieri route
-    from oracles import elementary_value, schur_value_bialternant
-
+    # evaluate both sides as honest numbers: Schur values through Kostka
+    # numbers and monomials, elementary/power-sum values directly from the
+    # variables, and the parameter x at integer points -- nothing here
+    # shares code with the Pieri route or the library's determinants
     for xs in ((1, 2, 3, 5, 7, 11), (2, 3, 5, 8, 13, 21), (-3, -1, 1, 2, 4, 9)):
         p1 = sum(xs)
         for n in range(6):
+            values = {lam: schur_value_by_kostka(lam, xs) for lam in enumerate_partitions(n)}
             for t in (-2, 0, 1, 3):
                 direct = sum(
                     rising_binomial(k)(t) * p1 ** k * elementary_value(n - k, xs)
                     for k in range(n + 1)
                 )
-                via_expansion = sum(
-                    (
-                        coeff(t) * schur_value_bialternant(lam, xs)
-                        for lam, coeff in schur_rhs(n).terms.items()
-                    ),
-                    start=Fraction(0),
-                )
-                assert via_expansion == direct, (xs, n, t)
-                lhs_expansion = sum(
-                    (
-                        coeff(t) * schur_value_bialternant(lam, xs)
-                        for lam, coeff in schur_lhs(n).terms.items()
-                    ),
-                    start=Fraction(0),
-                )
-                assert lhs_expansion == direct, (xs, n, t)
+                for side in (schur_rhs, schur_lhs):
+                    via_expansion = sum(
+                        (coeff(t) * values[lam] for lam, coeff in side(n).terms.items()),
+                        start=Fraction(0),
+                    )
+                    assert via_expansion == direct, (xs, n, t, side.__name__)
+
+
+# --- the evaluation check --------------------------------------------------------------
+
+def test_det_bareiss():
+    assert det_bareiss([]) == 1
+    assert det_bareiss([[7]]) == 7
+    assert det_bareiss([[1, 2], [3, 4]]) == -2
+    # a zero pivot forces a row swap, and a singular matrix gives 0
+    assert det_bareiss([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+    assert det_bareiss([[1, 2], [2, 4]]) == 0
+    assert det_bareiss([[0, 0], [0, 5]]) == 0
+
+
+def test_schur_value_matches_kostka_route():
+    # s_lam(xs) == sum_mu K(lam, mu) m_mu(xs); with 4 variables the
+    # shapes of more than 4 rows vanish on both sides
+    for xs in ((1, 2, 3, 4, 5, 6, 7), (-2, 1, 3, 10)):
+        for n in range(8):
+            for lam in enumerate_partitions(n):
+                assert schur_value(lam, xs) == schur_value_by_kostka(lam, xs), (xs, lam)
+    assert schur_value(P(), ()) == 1
+
+
+def test_monomial_value_small():
+    assert monomial_value(P((1,)), (2, 3)) == 5
+    assert monomial_value(P((1, 1)), (2, 3, 5)) == 6 + 10 + 15
+    assert monomial_value(P((1, 1, 1)), (2, 3)) == 0
+
+
+def test_check_at_point():
+    for n in range(10):
+        assert check_at_point(n), n
+    with pytest.raises(ValueError):
+        check_at_point(-1)
