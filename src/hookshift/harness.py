@@ -16,6 +16,7 @@ determinism guarantee.
 
 from __future__ import annotations
 
+import functools
 import json
 import os
 import time
@@ -23,9 +24,9 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from .identities import Fault, IdentityId, Workspace, check_identity
+from .identities import _CHECKERS, Fault, IdentityId, VerificationOutcome, Workspace
 from .partitions import enumerate_partitions
-from .schur import check_at_point, check_schur_recurrences, check_theorem_1_2
+from .schur import check_at_point, check_schur_recurrences, check_theorem_1_2, schur_sides
 
 CATALOG = tuple(IdentityId)
 _FORMATS = ("json", "csv", "text")
@@ -149,25 +150,32 @@ def _identity_unit(
         for i in identities
     ]
     for lam in enumerate_partitions(n):
+        ctx = ws.context(lam)
         for identity, row in zip(identities, rows):
-            for outcome in check_identity(identity, lam, ws, capture=capture):
+            for corner, ok, lhs, rhs in _CHECKERS[identity](ctx, capture):
                 row["checked"] += 1
-                if outcome.passed:
+                if ok:
                     row["passed"] += 1
-                    if capture:
-                        row["witnesses"].append(outcome.to_json())
+                    if not capture:
+                        continue
+                entry = VerificationOutcome(
+                    identity.value, lam, corner, "pass" if ok else "fail", lhs, rhs
+                ).to_json()
+                if ok:
+                    row["witnesses"].append(entry)
                 else:
-                    failure = outcome.to_json()
-                    del failure["status"]
-                    row["failures"].append(failure)
+                    del entry["status"]
+                    row["failures"].append(entry)
     return rows
 
 
 def _theorem_unit(n: int, max_n_oracles: int) -> list[dict]:
+    # the three checks share one build of each side at each degree
+    sides = functools.cache(schur_sides)
     row: dict = {"n": n}
     outcomes = {
-        "equality": check_theorem_1_2(n),
-        "recurrences": check_schur_recurrences(n) if n >= 1 else None,
+        "equality": check_theorem_1_2(n, sides=sides),
+        "recurrences": check_schur_recurrences(n, sides=sides) if n >= 1 else None,
     }
     for key, outcome in outcomes.items():
         row[key] = None if outcome is None else outcome.status
@@ -177,7 +185,7 @@ def _theorem_unit(n: int, max_n_oracles: int) -> list[dict]:
         # A spot check at one point.  It reads the term maps only through
         # their values there, so it can be the only failing check of a
         # degree: two sides wrong the same way pass the other two.
-        row["oracle"] = "pass" if check_at_point(n) else "fail"
+        row["oracle"] = "pass" if check_at_point(n, sides=sides) else "fail"
     else:
         row["oracle"] = None
     return [row]

@@ -144,6 +144,11 @@ def schur_rhs(n: int) -> SchurExpansion:
     )
 
 
+def schur_sides(n: int) -> tuple[SchurExpansion, SchurExpansion]:
+    """Both sides of the main identity at degree n, left first."""
+    return schur_lhs(n), schur_rhs(n)
+
+
 def _schur_outcome(identity: str, *witness) -> VerificationOutcome:
     """A whole-degree outcome: a pass, or a failure with both sides."""
     lhs, rhs = (json.dumps(w) for w in witness) if witness else (None, None)
@@ -157,21 +162,23 @@ def _schur_outcome(identity: str, *witness) -> VerificationOutcome:
     )
 
 
-def check_theorem_1_2(n: int) -> VerificationOutcome:
+def check_theorem_1_2(n: int, sides=schur_sides) -> VerificationOutcome:
     """Structural Schur-basis equality of the two sides at degree n.
 
     Schur functions are linearly independent, so coefficient-map equality
-    is the correct notion of symmetric-function equality here.
+    is the correct notion of symmetric-function equality here.  ``sides``
+    builds both sides of a degree, as ``schur_sides`` does; this and the
+    other two Schur checks take it so that one unit can share one build.
     """
     if n < 0:
         raise ValueError(f"n = {n} is negative")
-    lhs, rhs = schur_lhs(n), schur_rhs(n)
+    lhs, rhs = sides(n)
     if lhs == rhs:
         return _schur_outcome("THM_1_2")
     return _schur_outcome("THM_1_2", lhs.serialize(), rhs.serialize())
 
 
-def check_schur_recurrences(n: int) -> VerificationOutcome:
+def check_schur_recurrences(n: int, sides=schur_sides) -> VerificationOutcome:
     """Both one-step recurrences at degree n: each side of the main identity
     equals its own x -> x-1 substitution plus p1 times the previous degree.
 
@@ -180,9 +187,9 @@ def check_schur_recurrences(n: int) -> VerificationOutcome:
     """
     if n < 1:
         raise ValueError(f"n = {n}: the recurrences start at degree 1")
-    for label, side in (("rhs", schur_rhs), ("lhs", schur_lhs)):
-        cur = side(n)
-        expect = cur.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(side(n - 1))
+    (lhs, rhs), (prev_lhs, prev_rhs) = sides(n), sides(n - 1)
+    for label, cur, prev in (("rhs", rhs, prev_rhs), ("lhs", lhs, prev_lhs)):
+        expect = cur.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(prev)
         if cur != expect:
             return _schur_outcome(
                 "REC_3",
@@ -225,7 +232,7 @@ def schur_value(lam: Partition, xs: tuple[int, ...]) -> int:
     return num // vandermonde
 
 
-def check_at_point(n: int) -> bool:
+def check_at_point(n: int, sides=schur_sides) -> bool:
     """Evaluate the main identity at x = ORACLE_X0 and the variables
     1, ..., n, and report whether both Schur sides equal the direct value.
 
@@ -243,6 +250,6 @@ def check_at_point(n: int) -> bool:
     e = product_of_linear_factors(xs).coeffs  # e_(n-k) is the coefficient of x^k
     direct = sum(rising_binomial(k)(ORACLE_X0) * p1**k * e[k] for k in range(n + 1))
     return all(
-        sum(c(ORACLE_X0) * schur_value(lam, xs) for lam, c in side(n).terms.items()) == direct
-        for side in (schur_lhs, schur_rhs)
+        sum(c(ORACLE_X0) * schur_value(lam, xs) for lam, c in side.terms.items()) == direct
+        for side in sides(n)
     )

@@ -1,3 +1,4 @@
+import hashlib
 import json
 from collections import Counter
 
@@ -7,12 +8,20 @@ from hookshift import (
     Fault,
     IdentityId,
     Partition,
+    Workspace,
+    check_identity,
     enumerate_partitions,
     harness,
     parse_partition,
     schur,
 )
-from hookshift.harness import SweepConfig, _theorem_unit, render_report, run_sweep
+from hookshift.harness import (
+    SweepConfig,
+    _identity_unit,
+    _theorem_unit,
+    render_report,
+    run_sweep,
+)
 
 
 def small_config(**kw):
@@ -92,6 +101,71 @@ def test_report_json_schema():
         assert set(row) >= {"n", "equality", "recurrences", "oracle"}
     assert set(doc["timing"]) == {"wall_seconds", "workers"}
     assert "parallelism" not in doc["config"]
+
+
+# sha256 of the report minus "timing", serialized with sorted keys; each
+# digest was taken from the code that decided every polynomial identity
+# on the full g-polynomials, before the tail cancellation
+PINNED_REPORTS = {
+    "clean-n12": (
+        {},
+        "6048d7625bb58ed2498d5eb671725b5562827763708b017bed466878e3f02819",
+    ),
+    "hook-fault-n9": (
+        {"max_n_identities": 9,
+         "fault": Fault(kind="hook", partition=Partition((3, 2, 1)), row=1, col=2)},
+        "7605690c1b7a981f7dce42c1632f50256b0c6ee860446e9bc53545338eefcd72",
+    ),
+    "g-factor-fault-n9": (
+        {"max_n_identities": 9,
+         "fault": Fault(kind="g-factor", partition=Partition((3, 3, 1)), index=7, delta=-2)},
+        "36e00de1c077bdd36ebc391ae544341ef7a0a703e0f20c157be82af271f21594",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(PINNED_REPORTS))
+def test_report_bytes_are_pinned(case):
+    overrides, digest = PINNED_REPORTS[case]
+    config = dict(max_n_identities=12, max_n_theorem_1_2=4, max_n_oracles=4,
+                  parallelism=1, capture_witnesses=True)
+    config.update(overrides)
+    body = run_sweep(SweepConfig(**config)).to_json()
+    del body["timing"]
+    assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("capture", [False, True], ids=["plain", "capture"])
+@pytest.mark.parametrize(
+    "fault",
+    [
+        None,
+        Fault(kind="hook", partition=Partition((3, 2, 1)), row=1, col=2),
+        Fault(kind="g-factor", partition=Partition((3, 3, 1)), index=7, delta=-2),
+    ],
+    ids=["clean", "hook", "g-factor"],
+)
+def test_identity_unit_matches_check_identity(fault, capture):
+    # the sweep runs the checkers on each context directly; its rows are
+    # the ones check_identity's outcomes add up to
+    for n in range(1, 11):
+        expected = []
+        for identity in IdentityId:
+            row = {"identity": identity.value, "n": n, "checked": 0, "passed": 0,
+                   "failures": [], "witnesses": []}
+            ws = Workspace(fault)
+            for lam in enumerate_partitions(n):
+                for outcome in check_identity(identity, lam, ws, capture=capture):
+                    row["checked"] += 1
+                    row["passed"] += outcome.passed
+                    entry = outcome.to_json()
+                    if not outcome.passed:
+                        del entry["status"]
+                        row["failures"].append(entry)
+                    elif capture:
+                        row["witnesses"].append(entry)
+            expected.append(row)
+        assert _identity_unit(n, tuple(IdentityId), fault, capture) == expected, n
 
 
 def test_report_deterministic_across_runs():
@@ -222,6 +296,25 @@ def test_oracle_catches_term_maps_wrong_the_same_way(monkeypatch):
         assert row["equality"] == "pass", n
         assert row["recurrences"] == (None if n == 0 else "pass"), n
         assert row["oracle"] == "fail", n
+
+
+def test_schur_unit_builds_each_side_once_per_degree(monkeypatch):
+    calls = Counter()
+    for name in ("schur_lhs", "schur_rhs"):
+        build = getattr(schur, name)
+
+        def counted(m, name=name, build=build):
+            calls[name, m] += 1
+            return build(m)
+
+        monkeypatch.setattr(schur, name, counted)
+    for n in range(9):
+        calls.clear()
+        [row] = _theorem_unit(n, 8)
+        assert row["equality"] == row["oracle"] == "pass", n
+        # the degree-n recurrences also read degree n - 1
+        degrees = (n - 1, n) if n else (0,)
+        assert calls == {(name, m): 1 for name in ("schur_lhs", "schur_rhs") for m in degrees}, n
 
 
 def test_fault_crosses_process_boundary():

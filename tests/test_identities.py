@@ -258,7 +258,8 @@ def test_iterated_difference_matches_binomial_sum_to_10():
     gfac = Fault(kind="g-factor", partition=Partition((4, 1)), index=3)
     cases += [(f.partition, Workspace(f)) for f in (hook, gfac)]
     for lam, ws in cases:
-        d = ws.context(lam).g
+        ctx = ws.context(lam)
+        d = ctx.times_tail(ctx.g)
         if ws.fault is None:
             assert all(d(x) == g_value_by_factors(lam, x) for x in range(-9, 10)), lam
         for _ in range(lam.size):
@@ -267,7 +268,8 @@ def test_iterated_difference_matches_binomial_sum_to_10():
         assert type(outcome.lhs) is int, lam
         assert d == outcome.lhs == factorial(lam.size), lam
         assert outcome.passed == (ws.fault is not hook), lam
-    assert Workspace(gfac).context(gfac.partition).g != g_poly(gfac.partition)
+    ctx = Workspace(gfac).context(gfac.partition)
+    assert ctx.times_tail(ctx.g) != g_poly(gfac.partition)
 
 
 def test_cor_4_4_sum_is_exactly_n():
@@ -381,10 +383,11 @@ def test_unfaulted_workspace_matches_pure_functions():
             assert ws.context(lam) is ctx
             assert ctx.corners == corner_sets(lam)
             g = g_poly(lam)
-            assert (ctx.h, ctx.g, ctx.g_next) == (hook_product(lam), g, g.shift(1))
+            assert ctx.h == hook_product(lam)
+            assert (ctx.times_tail(ctx.g), ctx.times_tail(ctx.g_next)) == (g, g.shift(1))
             mus = ctx.corners.removal_list
             assert ctx.mu_h == tuple(hook_product(mu) for mu in mus)
-            assert ctx.mu_g == tuple(g_poly(mu) for mu in mus)
+            assert tuple(map(ctx.times_tail, ctx.mu_g)) == tuple(g_poly(mu) for mu in mus)
             assert Fraction(factorial(n), ctx.h) == syt_count(lam)
             assert ctx.mu_h_prod == prod(hook_product(mu) for mu in mus)
             den = [linear(lam.part(i) - i) for i in ctx.corners.in_corners]
@@ -407,14 +410,56 @@ def test_unfaulted_workspace_matches_pure_functions():
 )
 def test_g_factor_fault_reaches_g_and_g_next(parts, index):
     # index 1 is a row factor; index 3 and up lie beyond the length, among
-    # the trailing factors (x - i) that every partition of that length shares
+    # the trailing factors (x - i), where a fault moves the context's head
+    # so that the faulted factor stays out of the cancelled tail
     lam = Partition(parts)
     ws = Workspace(Fault(kind="g-factor", partition=lam, index=index, delta=1))
     constants = shifted_part_constants(lam)
     constants[index - 1] += 1
     ctx = ws.context(lam)
-    assert ctx.g == product_of_linear_factors(constants) != g_poly(lam)
-    assert ctx.g_next == ctx.g.shift(1)
+    g = ctx.times_tail(ctx.g)
+    assert g == product_of_linear_factors(constants) != g_poly(lam)
+    assert ctx.times_tail(ctx.g_next) == g.shift(1)
     # a partition one box larger reads the faulted g for that removal
-    bigger = Partition((parts[0] + 1, *parts[1:]))
-    assert ctx.g in ws.context(bigger).mu_g
+    bigger = ws.context(Partition((parts[0] + 1, *parts[1:])))
+    assert g in map(bigger.times_tail, bigger.mu_g)
+
+
+def _faulted_g(lam, fault):
+    """g_poly(lam), or the product of its faulted factors if a g-factor
+    fault targets lam."""
+    constants = shifted_part_constants(lam)
+    if fault is not None and fault.kind == "g-factor" and fault.partition == lam:
+        constants[fault.index - 1] += fault.delta
+    return product_of_linear_factors(constants)
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [
+        None,
+        Fault(kind="hook", partition=Partition((3, 2, 1)), row=1, col=2),
+        Fault(kind="g-factor", partition=Partition((3, 2, 1)), index=2),
+        Fault(kind="g-factor", partition=Partition((4, 1)), index=3),
+        Fault(kind="g-factor", partition=Partition((5,)), index=5),
+        Fault(kind="g-factor", partition=Partition((3, 3, 1)), index=7, delta=-2),
+    ],
+    ids=["clean", "hook", "head-index", "4,1-index-3", "5-index-5", "3,3,1-index-7"],
+)
+def test_reduced_context_times_tail_is_the_full_g(fault):
+    # the context holds g, g(x+1) and each g_mu divided by the shared tail
+    # T; multiplied back, each is the (faulted) product of its n factors
+    for n in range(1, 13):
+        ws = Workspace(fault)
+        for lam in enumerate_partitions(n):
+            ctx = ws.context(lam)
+            g = _faulted_g(lam, fault)
+            assert ctx.times_tail(ctx.g) == g, lam
+            assert ctx.times_tail(ctx.g_next) == g.shift(1), lam
+            mus = ctx.corners.removal_list
+            assert tuple(map(ctx.times_tail, ctx.mu_g)) == tuple(_faulted_g(mu, fault) for mu in mus)
+            tail = ctx.times_tail(ONE)
+            assert [ctx.tail_at(k) for k in range(-2, n + 2)] == [tail(k) for k in range(-2, n + 2)]
+            if fault is None:
+                # unfaulted, T cancels every factor (x - j) past the last row
+                assert ctx.head == len(lam), lam
