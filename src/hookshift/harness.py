@@ -24,7 +24,7 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from .identities import _CHECKERS, Fault, IdentityId, VerificationOutcome, Workspace
+from .identities import Fault, IdentityId, VerificationOutcome, Workspace, verdicts
 from .partitions import enumerate_partitions
 from .schur import check_at_point, check_schur_recurrences, check_theorem_1_2, schur_sides
 
@@ -152,7 +152,7 @@ def _identity_unit(
     for lam in enumerate_partitions(n):
         ctx = ws.context(lam)
         for identity, row in zip(identities, rows):
-            for corner, ok, lhs, rhs in _CHECKERS[identity](ctx, capture):
+            for corner, ok, lhs, rhs in verdicts(identity, ctx, capture):
                 row["checked"] += 1
                 if ok:
                     row["passed"] += 1
@@ -173,14 +173,14 @@ def _theorem_unit(n: int, max_n_oracles: int) -> list[dict]:
     # the three checks share one build of each side at each degree
     sides = functools.cache(schur_sides)
     row: dict = {"n": n}
-    outcomes = {
-        "equality": check_theorem_1_2(n, sides=sides),
-        "recurrences": check_schur_recurrences(n, sides=sides) if n >= 1 else None,
-    }
-    for key, outcome in outcomes.items():
-        row[key] = None if outcome is None else outcome.status
-        if outcome is not None and not outcome.passed:
-            row[f"{key}_witness"] = {"lhs": outcome.lhs, "rhs": outcome.rhs}
+    for key, check in (("equality", check_theorem_1_2), ("recurrences", check_schur_recurrences)):
+        if key == "recurrences" and n == 0:
+            row[key] = None  # the recurrences start at degree 1
+            continue
+        witness = check(n, sides=sides)
+        row[key] = "pass" if witness is None else "fail"
+        if witness is not None:
+            row[f"{key}_witness"] = witness
     if n <= max_n_oracles:
         # A spot check at one point.  It reads the term maps only through
         # their values there, so it can be the only failing check of a

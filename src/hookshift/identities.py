@@ -10,8 +10,9 @@ integer form: denominators in x are multiplied out and hook products are
 cleared to integers, so no rational-function arithmetic (and none of its
 spurious poles) ever occurs.  The polynomial identities are compared
 after cancelling the monic tail factor that every g-polynomial of one
-partition's context shares, which decides the same equality.  Witnesses
-are the full cleared sides, captured for failures, and for passes on
+partition's context shares, which decides the same equality.  Each
+check returns the two sides it compares, and one table says how each
+identity reports them as witnesses: for failures, and for passes on
 request.
 """
 
@@ -37,8 +38,6 @@ from .partitions import (
 from .polynomials import (
     ExactPolynomial,
     ONE,
-    X,
-    linear,
     product_of_linear_factors,
     times_linear_factors,
 )
@@ -80,13 +79,13 @@ class IdentityId(enum.Enum):
     COR_4_4 = "COR_4_4"
 
 
-# a captured side: a polynomial, an exact number, pre-rendered text, or absent
-Witness = Union["ExactPolynomial", int, Fraction, str, None]
+# a captured side: a polynomial, an exact number, or absent
+Witness = Union["ExactPolynomial", int, Fraction, None]
 
 
 def _serialize_witness(v: Witness):
-    if v is None or isinstance(v, str):
-        return v
+    if v is None:
+        return None
     if isinstance(v, ExactPolynomial):
         return [[k, s] for k, s in v.serialize()]
     f = Fraction(v)
@@ -97,12 +96,12 @@ def _serialize_witness(v: Witness):
 class VerificationOutcome:
     """Result of one identity check at one partition (and corner, if any).
 
-    ``lhs``/``rhs`` hold the compared sides: always for failures, for
+    ``lhs``/``rhs`` hold the reported sides: always for failures, for
     passes only when witness capture was requested.
     """
 
     identity: str
-    partition: Optional[Partition]
+    partition: Partition
     corner_index: Optional[int]
     status: str  # "pass" | "fail"
     lhs: Witness = None
@@ -115,7 +114,7 @@ class VerificationOutcome:
     def to_json(self) -> dict:
         return {
             "identity": self.identity,
-            "partition": str(self.partition) if self.partition is not None else None,
+            "partition": str(self.partition),
             "corner_index": self.corner_index,
             "status": self.status,
             "lhs": _serialize_witness(self.lhs),
@@ -241,7 +240,6 @@ class Workspace:
         self.fault = fault
         self._inputs_of: dict[Partition, tuple[int, list[int], int]] = {}
         self._reduced_g: dict[tuple[Partition, int], ExactPolynomial] = {}
-        self._context: PartitionContext | None = None
 
     def _inputs(self, lam: Partition) -> tuple[int, list[int], int]:
         """The hook product, the g-factor constants (fault substituted) and
@@ -274,91 +272,58 @@ class Workspace:
         return hit
 
     def context(self, lam: Partition) -> PartitionContext:
-        """The context of a nonempty partition; consecutive calls for the
-        same partition share one instance."""
-        if self._context is None or self._context.lam != lam:
-            n = lam.size
-            corners = corner_sets(lam)
-            h, constants, a = self._inputs(lam)
-            removed = [self._removal(mu) for mu in corners.removal_list]
-            head = max(a, *(a_mu for _, _, a_mu in removed))
-            mu_h = tuple(h_mu for h_mu, _, _ in removed)
-            big = prod(mu_h)
-            # corner_sum gains one term per in-corner row while in_prod
-            # gains that row's factor, which every earlier term also takes
-            in_prod, corner_sum = ONE, ExactPolynomial()
-            for i, h_mu in zip(corners.in_corners, mu_h):
-                c = (lam[i - 1] - i,)
-                corner_sum = times_linear_factors(corner_sum, c) + in_prod * (h * (big // h_mu))
-                in_prod = times_linear_factors(in_prod, c)
-            self._context = PartitionContext(
-                lam,
-                corners,
-                h,
-                head,
-                # g keeps its factors up to head and (x - n); g(x+1) keeps
-                # those up to head + 1, the last of them (x - head)
-                product_of_linear_factors(constants[:head] + constants[max(head, n - 1):]),
-                product_of_linear_factors([c + 1 for c in constants[:head + 1]]),
-                mu_h,
-                tuple(self._mu_g(mu, c_mu, head)
-                      for mu, (_, c_mu, _) in zip(corners.removal_list, removed)),
-                big,
-                in_prod,
-                product_of_linear_factors(lam.part(i) - i + 1 for i in corners.out_corners),
-                corner_sum,
-            )
-        return self._context
+        """The context of a nonempty partition."""
+        n = lam.size
+        corners = corner_sets(lam)
+        h, constants, a = self._inputs(lam)
+        removed = [self._removal(mu) for mu in corners.removal_list]
+        head = max(a, *(a_mu for _, _, a_mu in removed))
+        mu_h = tuple(h_mu for h_mu, _, _ in removed)
+        big = prod(mu_h)
+        # corner_sum gains one term per in-corner row while in_prod gains
+        # that row's factor, which every earlier term also takes
+        in_prod, corner_sum = ONE, ExactPolynomial()
+        for i, h_mu in zip(corners.in_corners, mu_h):
+            c = (lam[i - 1] - i,)
+            corner_sum = times_linear_factors(corner_sum, c) + in_prod * (h * (big // h_mu))
+            in_prod = times_linear_factors(in_prod, c)
+        return PartitionContext(
+            lam,
+            corners,
+            h,
+            head,
+            # g keeps its factors up to head and (x - n); g(x+1) keeps
+            # those up to head + 1, the last of them (x - head)
+            product_of_linear_factors(constants[:head] + constants[max(head, n - 1):]),
+            product_of_linear_factors([c + 1 for c in constants[:head + 1]]),
+            mu_h,
+            tuple(self._mu_g(mu, c_mu, head)
+                  for mu, (_, c_mu, _) in zip(corners.removal_list, removed)),
+            big,
+            in_prod,
+            product_of_linear_factors(lam.part(i) - i + 1 for i in corners.out_corners),
+            corner_sum,
+        )
 
 
-def _sides(passed: bool, capture: bool, lhs, rhs) -> tuple[Witness, Witness]:
-    if passed and not capture:
-        return None, None
-    return lhs, rhs
-
-
-def _full_sides(ctx: PartitionContext, passed: bool, capture: bool, lhs, rhs):
-    """The sides of a check compared over T, kept in full form."""
-    if passed and not capture:
-        return None, None
-    return ctx.times_tail(lhs), ctx.times_tail(rhs)
-
-
-def _check_thm_1_1(ctx: PartitionContext, capture: bool):
+def _check_thm_1_1(ctx: PartitionContext):
     big = ctx.mu_h_prod
     lhs = (ctx.g_next - ctx.g) * big
     rhs = ExactPolynomial()
     for g_mu, h in zip(ctx.mu_g, ctx.mu_h):
         rhs = rhs + g_mu * (ctx.h * (big // h))
-    passed = lhs == rhs
-    return [(None, passed, *_full_sides(ctx, passed, capture, lhs, rhs))]
+    return [(None, lhs, rhs)]
 
 
-def _cleared_hook_sum(ctx: PartitionContext) -> tuple[int, int]:
+def _cleared_hook_sum(ctx: PartitionContext):
     """n / H == sum of 1 / H_mu, cleared by H and the product of the H_mu.
     Every hook product is positive, so REC_1_2 (divided by (n-1)!) and
     COR_4_4 (divided by H) hold exactly when these two are equal."""
     big = ctx.mu_h_prod
-    return ctx.lam.size * big, ctx.h * sum(big // h for h in ctx.mu_h)
+    return [(None, ctx.lam.size * big, ctx.h * sum(big // h for h in ctx.mu_h))]
 
 
-def _check_rec_1_2(ctx: PartitionContext, capture: bool):
-    lhs, rhs = _cleared_hook_sum(ctx)
-    if lhs == rhs and not capture:
-        return [(None, True, None, None)]
-    # tableau counts n!/H; Fractions if a fault breaks divisibility
-    n = ctx.lam.size
-    return [(None, lhs == rhs, Fraction(factorial(n), ctx.h),
-             sum(Fraction(factorial(n - 1), h) for h in ctx.mu_h))]
-
-
-def _check_rec_1_3(ctx: PartitionContext, capture: bool):
-    lhs, rhs = _cleared_hook_sum(ctx)
-    passed = lhs == rhs
-    return [(None, passed, *_sides(passed, capture, lhs, rhs))]
-
-
-def _check_remark_dn(ctx: PartitionContext, capture: bool):
+def _check_remark_dn(ctx: PartitionContext):
     # cleared by H: the n-fold difference of g against f * H, with f from
     # a formula that reads no hook length.  g is monic of degree n even
     # under a fault, so the difference is a single constant, the binomial
@@ -371,79 +336,102 @@ def _check_remark_dn(ctx: PartitionContext, capture: bool):
         for k in range(n + 1)
         if (t := ctx.tail_at(k))
     )
-    rhs = syt_count(ctx.lam) * ctx.h
-    passed = lhs == rhs
-    return [(None, passed, *_sides(passed, capture, lhs, rhs))]
+    return [(None, lhs, syt_count(ctx.lam) * ctx.h)]
 
 
-def _check_corner_ratio_2_2(ctx: PartitionContext, capture: bool):
-    lam = ctx.lam
+def _check_corner_ratio_2_2(ctx: PartitionContext):
     out = []
     for i, h_mu, g_mu in zip(ctx.corners.in_corners, ctx.mu_h, ctx.mu_g):
-        a = i - lam.part(i)
+        a = i - ctx.lam.part(i)
         lhs = ctx.h * g_mu(a) * ctx.tail_at(a)
         rhs = h_mu * ctx.g(a + 1) * ctx.tail_at(a + 1)
-        passed = lhs == rhs
-        out.append((i, passed, *_sides(passed, capture, lhs, rhs)))
+        out.append((i, lhs, rhs))
     return out
 
 
-def _check_quotient_4_2(ctx: PartitionContext, capture: bool):
-    lam = ctx.lam
+def _check_quotient_4_2(ctx: PartitionContext):
     out = []
     for i, g_mu in zip(ctx.corners.in_corners, ctx.mu_g):
-        c = lam.part(i) - i
-        lhs = times_linear_factors(g_mu, (c, -lam.size))
-        rhs = times_linear_factors(ctx.g, (c - 1,))
-        passed = lhs == rhs
-        out.append((i, passed, *_full_sides(ctx, passed, capture, lhs, rhs)))
+        c = ctx.lam.part(i) - i
+        lhs = times_linear_factors(g_mu, (c, -ctx.lam.size))
+        out.append((i, lhs, times_linear_factors(ctx.g, (c - 1,))))
     return out
 
 
-def _check_thm_4_1(ctx: PartitionContext, capture: bool):
-    lhs = ctx.corner_sum * ctx.g
-    rhs = (X * ctx.g - linear(-ctx.lam.size) * ctx.g_next) * ctx.in_prod * ctx.mu_h_prod
-    passed = lhs == rhs
-    return [(None, passed, *_full_sides(ctx, passed, capture, lhs, rhs))]
+def _in_constants(ctx: PartitionContext) -> list[int]:
+    """part(i) - i over the in-corner rows: in_prod's factor constants."""
+    return [ctx.lam.part(i) - i for i in ctx.corners.in_corners]
 
 
-def _check_eq_4_6(ctx: PartitionContext, capture: bool):
-    lhs = linear(-ctx.lam.size) * ctx.g_next * ctx.in_prod
-    rhs = ctx.g * ctx.out_prod
-    passed = lhs == rhs
-    return [(None, passed, *_full_sides(ctx, passed, capture, lhs, rhs))]
+def _check_thm_4_1(ctx: PartitionContext):
+    diff = times_linear_factors(ctx.g, (0,)) - times_linear_factors(ctx.g_next, (-ctx.lam.size,))
+    rhs = times_linear_factors(diff, _in_constants(ctx)) * ctx.mu_h_prod
+    return [(None, ctx.corner_sum * ctx.g, rhs)]
 
 
-def _check_thm_4_2(ctx: PartitionContext, capture: bool):
-    numerator = X * ctx.in_prod - ctx.out_prod
-    passed = ctx.corner_sum == numerator * ctx.mu_h_prod
-    if passed and not capture:
-        return [(None, True, None, None)]
-    # witnesses with the hook clearing divided back out, so the right side
-    # is the bare quotient numerator
-    return [(None, passed, ctx.corner_sum * Fraction(1, ctx.mu_h_prod), numerator)]
+def _check_eq_4_6(ctx: PartitionContext):
+    lhs = times_linear_factors(ctx.g_next, [-ctx.lam.size, *_in_constants(ctx)])
+    rhs = times_linear_factors(ctx.g, [ctx.lam.part(i) - i + 1 for i in ctx.corners.out_corners])
+    return [(None, lhs, rhs)]
 
 
-def _check_cor_4_4(ctx: PartitionContext, capture: bool):
-    lhs, rhs = _cleared_hook_sum(ctx)
-    if lhs == rhs and not capture:
-        return [(None, True, None, None)]
-    total = sum((Fraction(ctx.h, h) for h in ctx.mu_h), start=Fraction(0))
-    return [(None, lhs == rhs, total, ctx.lam.size)]
+def _check_thm_4_2(ctx: PartitionContext):
+    numerator = times_linear_factors(ctx.in_prod, (0,)) - ctx.out_prod
+    return [(None, ctx.corner_sum, numerator * ctx.mu_h_prod)]
 
 
+def _as_compared(ctx: PartitionContext, lhs, rhs):
+    return lhs, rhs
+
+
+def _times_tail(ctx: PartitionContext, lhs, rhs):
+    return ctx.times_tail(lhs), ctx.times_tail(rhs)
+
+
+def _tableau_counts(ctx: PartitionContext, lhs, rhs):
+    # n!/H against the sum of (n-1)!/H_mu, Fractions under a hook fault
+    n = ctx.lam.size
+    return (Fraction(factorial(n), ctx.h),
+            sum(Fraction(factorial(n - 1), h) for h in ctx.mu_h))
+
+
+def _hook_ratio_sum(ctx: PartitionContext, lhs, rhs):
+    return sum((Fraction(ctx.h, h) for h in ctx.mu_h), start=Fraction(0)), ctx.lam.size
+
+
+def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):
+    # the right side becomes the bare quotient numerator
+    return lhs * Fraction(1, ctx.mu_h_prod), rhs * Fraction(1, ctx.mu_h_prod)
+
+
+# each identity's check, yielding (corner, lhs, rhs) with the sides as
+# compared, and how a failing or captured check reports those sides
 _CHECKERS = {
-    IdentityId.THM_1_1: _check_thm_1_1,
-    IdentityId.REC_1_2: _check_rec_1_2,
-    IdentityId.REC_1_3: _check_rec_1_3,
-    IdentityId.REMARK_DN: _check_remark_dn,
-    IdentityId.CORNER_RATIO_2_2: _check_corner_ratio_2_2,
-    IdentityId.QUOTIENT_4_2: _check_quotient_4_2,
-    IdentityId.THM_4_1: _check_thm_4_1,
-    IdentityId.EQ_4_6: _check_eq_4_6,
-    IdentityId.THM_4_2: _check_thm_4_2,
-    IdentityId.COR_4_4: _check_cor_4_4,
+    IdentityId.THM_1_1: (_check_thm_1_1, _times_tail),
+    IdentityId.REC_1_2: (_cleared_hook_sum, _tableau_counts),
+    IdentityId.REC_1_3: (_cleared_hook_sum, _as_compared),
+    IdentityId.REMARK_DN: (_check_remark_dn, _as_compared),
+    IdentityId.CORNER_RATIO_2_2: (_check_corner_ratio_2_2, _as_compared),
+    IdentityId.QUOTIENT_4_2: (_check_quotient_4_2, _times_tail),
+    IdentityId.THM_4_1: (_check_thm_4_1, _times_tail),
+    IdentityId.EQ_4_6: (_check_eq_4_6, _times_tail),
+    IdentityId.THM_4_2: (_check_thm_4_2, _hooks_divided_out),
+    IdentityId.COR_4_4: (_cleared_hook_sum, _hook_ratio_sum),
 }
+
+
+def verdicts(identity: IdentityId, ctx: PartitionContext, capture: bool) -> list[tuple]:
+    """(corner, passed, lhs, rhs) for each check of one identity on one
+    context, with the reported sides for failures and captured passes."""
+    check, report = _CHECKERS[identity]
+    out = []
+    for corner, lhs, rhs in check(ctx):
+        passed = lhs == rhs
+        if passed and not capture:
+            out.append((corner, True, None, None))
+        else:
+            out.append((corner, passed, *report(ctx, lhs, rhs)))
+    return out
 
 
 def check_identity(
@@ -455,7 +443,7 @@ def check_identity(
     """Check one identity at one partition.
 
     Returns one outcome, or one per corner row for the per-corner
-    identities.  The compared left/right sides are attached to failures
+    identities.  The reported left/right sides are attached to failures
     always, and to passes when ``capture`` is set.
     """
     if not isinstance(identity, IdentityId):
@@ -472,5 +460,5 @@ def check_identity(
             lhs=lhs,
             rhs=rhs,
         )
-        for corner, ok, lhs, rhs in _CHECKERS[identity](ws.context(lam), capture)
+        for corner, ok, lhs, rhs in verdicts(identity, ws.context(lam), capture)
     ]

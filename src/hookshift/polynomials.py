@@ -107,10 +107,6 @@ class ExactPolynomial:
             return _make([])
         if len(a) < len(b):
             a, b = b, a
-        if len(b) == 2:
-            # times a linear factor: one pass over the longer operand
-            b0, b1 = b
-            return _make([a[0] * b0, *[p * b1 + q * b0 for p, q in zip(a, a[1:])], a[-1] * b1])
         out = [0] * (len(a) + len(b) - 1)
         for j, y in enumerate(b):
             if y:
@@ -180,7 +176,6 @@ class ExactPolynomial:
 
 
 ONE = ExactPolynomial((1,))
-X = ExactPolynomial((0, 1))
 
 
 def linear(c: Coeff) -> ExactPolynomial:

@@ -19,7 +19,7 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .identities import VerificationOutcome, _serialize_witness, g_poly
+from .identities import _serialize_witness, g_poly
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -149,21 +149,9 @@ def schur_sides(n: int) -> tuple[SchurExpansion, SchurExpansion]:
     return schur_lhs(n), schur_rhs(n)
 
 
-def _schur_outcome(identity: str, *witness) -> VerificationOutcome:
-    """A whole-degree outcome: a pass, or a failure with both sides."""
-    lhs, rhs = (json.dumps(w) for w in witness) if witness else (None, None)
-    return VerificationOutcome(
-        identity=identity,
-        partition=None,
-        corner_index=None,
-        status="fail" if witness else "pass",
-        lhs=lhs,
-        rhs=rhs,
-    )
-
-
-def check_theorem_1_2(n: int, sides=schur_sides) -> VerificationOutcome:
-    """Structural Schur-basis equality of the two sides at degree n.
+def check_theorem_1_2(n: int, sides=schur_sides) -> dict | None:
+    """Structural Schur-basis equality of the two sides at degree n: None,
+    or a failure's witness, both sides as JSON text under "lhs" and "rhs".
 
     Schur functions are linearly independent, so coefficient-map equality
     is the correct notion of symmetric-function equality here.  ``sides``
@@ -174,16 +162,17 @@ def check_theorem_1_2(n: int, sides=schur_sides) -> VerificationOutcome:
         raise ValueError(f"n = {n} is negative")
     lhs, rhs = sides(n)
     if lhs == rhs:
-        return _schur_outcome("THM_1_2")
-    return _schur_outcome("THM_1_2", lhs.serialize(), rhs.serialize())
+        return None
+    return {"lhs": json.dumps(lhs.serialize()), "rhs": json.dumps(rhs.serialize())}
 
 
-def check_schur_recurrences(n: int, sides=schur_sides) -> VerificationOutcome:
+def check_schur_recurrences(n: int, sides=schur_sides) -> dict | None:
     """Both one-step recurrences at degree n: each side of the main identity
     equals its own x -> x-1 substitution plus p1 times the previous degree.
 
     Substitution acts coefficient-wise through polynomial shift by -1.  A
-    failure's witness is the first failing side, rhs before lhs.
+    failure's witness, shaped as check_theorem_1_2's, is the first failing
+    side, rhs before lhs.
     """
     if n < 1:
         raise ValueError(f"n = {n}: the recurrences start at degree 1")
@@ -191,12 +180,11 @@ def check_schur_recurrences(n: int, sides=schur_sides) -> VerificationOutcome:
     for label, cur, prev in (("rhs", rhs, prev_rhs), ("lhs", lhs, prev_lhs)):
         expect = cur.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(prev)
         if cur != expect:
-            return _schur_outcome(
-                "REC_3",
-                {"side": label, "value": cur.serialize()},
-                {"side": label, "value": expect.serialize()},
-            )
-    return _schur_outcome("REC_3")
+            return {
+                "lhs": json.dumps({"side": label, "value": cur.serialize()}),
+                "rhs": json.dumps({"side": label, "value": expect.serialize()}),
+            }
+    return None
 
 
 def det_bareiss(matrix: list[list[int]]) -> int:

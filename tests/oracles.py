@@ -6,12 +6,22 @@ derivations.
 """
 
 from collections import Counter
+from fractions import Fraction
 from itertools import permutations
-from math import prod
+from math import factorial, prod
 
-from hookshift.partitions import Partition, PartitionError, corner_sets, enumerate_partitions
-from hookshift.polynomials import linear
+from hookshift.identities import IdentityId, g_poly
+from hookshift.partitions import (
+    Partition,
+    PartitionError,
+    corner_sets,
+    enumerate_partitions,
+    hook_product,
+)
+from hookshift.polynomials import ONE, ExactPolynomial, linear
 from hookshift.schur import SchurExpansion
+
+X = linear(0)  # the polynomial x
 
 
 def hook_by_box_count(lam, cell):
@@ -112,6 +122,61 @@ def difference(p):
     degree by one.  Applied n times it is the oracle for REMARK_DN's
     binomial sum of values."""
     return p.shift(1) - p
+
+
+def catalog_sides(identity, lam):
+    """(corner, lhs, rhs) for each check of one identity at lam, with the
+    sides in the form the library reports them, rebuilt from g_poly,
+    hook_product and corner_sets alone: full polynomials with no tail
+    cancelled, and exact numbers."""
+    n = lam.size
+    g, h = g_poly(lam), hook_product(lam)
+    corners = corner_sets(lam)
+    mus = corners.removal_list
+    mu_h = [hook_product(mu) for mu in mus]
+    big = prod(mu_h)
+    den = [linear(lam.part(i) - i) for i in corners.in_corners]
+    in_prod = prod(den, start=ONE)
+    out_prod = prod((linear(lam.part(i) - i + 1) for i in corners.out_corners), start=ONE)
+    # sum over in-corner rows of (H/H_mu) / (x + part(i) - i), cleared by
+    # in_prod and by the product of the H_mu
+    corner_sum = sum(
+        (prod(den[:k] + den[k + 1:], start=ONE) * (h * big // hm) for k, hm in enumerate(mu_h)),
+        start=ExactPolynomial(),
+    )
+    if identity is IdentityId.THM_1_1:
+        rhs = sum((g_poly(mu) * (h * big // hm) for mu, hm in zip(mus, mu_h)), start=ExactPolynomial())
+        return [(None, difference(g) * big, rhs)]
+    if identity is IdentityId.REC_1_2:
+        # tableau counts: n!/H against the sum of (n-1)!/H_mu
+        return [(None, Fraction(factorial(n), h),
+                 sum(Fraction(factorial(n - 1), hm) for hm in mu_h))]
+    if identity is IdentityId.REC_1_3:
+        return [(None, n * big, h * sum(big // hm for hm in mu_h))]
+    if identity is IdentityId.REMARK_DN:
+        d = g
+        for _ in range(n):
+            d = difference(d)
+        return [(None, d(0), syt_count_bruteforce(lam) * h)]
+    if identity is IdentityId.CORNER_RATIO_2_2:
+        return [
+            (i, h * g_poly(mu)(i - lam.part(i)), hm * g(i - lam.part(i) + 1))
+            for i, mu, hm in zip(corners.in_corners, mus, mu_h)
+        ]
+    if identity is IdentityId.QUOTIENT_4_2:
+        return [
+            (i, g_poly(mu) * linear(lam.part(i) - i) * linear(-n), g * linear(lam.part(i) - i - 1))
+            for i, mu in zip(corners.in_corners, mus)
+        ]
+    if identity is IdentityId.THM_4_1:
+        return [(None, corner_sum * g, (X * g - linear(-n) * g.shift(1)) * in_prod * big)]
+    if identity is IdentityId.EQ_4_6:
+        return [(None, linear(-n) * g.shift(1) * in_prod, g * out_prod)]
+    if identity is IdentityId.THM_4_2:
+        # the hook clearing divided back out
+        return [(None, corner_sum * Fraction(1, big), X * in_prod - out_prod)]
+    assert identity is IdentityId.COR_4_4
+    return [(None, sum(Fraction(h, hm) for hm in mu_h), n)]
 
 
 def elementary_value(m, xs):

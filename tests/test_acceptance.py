@@ -61,9 +61,9 @@ def test_a01_difference_identity_exhaustive_to_25():
 
 def test_a02_schur_identity_and_recurrences():
     for n in range(10):
-        assert check_theorem_1_2(n).passed, n
+        assert check_theorem_1_2(n) is None, n
     for n in range(1, 10):
-        assert check_schur_recurrences(n).passed, n
+        assert check_schur_recurrences(n) is None, n
     print("[A2] PASS Schur-basis identity and both recurrences for n <= 9")
 
 

@@ -195,10 +195,11 @@ def test_sweep_crash_is_reported(jobs, monkeypatch, capsys):
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
         pytest.skip("workers see the patched checker only when forked")
 
-    def crash(ctx, capture):
+    def crash(ctx):
         raise ZeroDivisionError("planted")
 
-    monkeypatch.setitem(identities._CHECKERS, IdentityId.COR_4_4, crash)
+    _, report = identities._CHECKERS[IdentityId.COR_4_4]
+    monkeypatch.setitem(identities._CHECKERS, IdentityId.COR_4_4, (crash, report))
     code, out, err = run_cli(capsys, "sweep", "--max-n", "3", "--max-n-schur", "1",
                              "--max-n-oracle", "1", "--jobs", jobs)
     assert code == 3

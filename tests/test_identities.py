@@ -17,15 +17,14 @@ from hookshift import (
     hook_product,
     syt_count,
 )
-from hookshift.identities import shifted_part_constants
+from hookshift.identities import VerificationOutcome, shifted_part_constants
 from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
-    X,
     linear,
     product_of_linear_factors,
 )
-from oracles import corner_quotient_factors, difference, g_value_by_factors
+from oracles import X, catalog_sides, corner_quotient_factors, difference, g_value_by_factors
 from strategies import partitions
 
 LAM = Partition((5, 5, 3, 3, 1))
@@ -193,6 +192,24 @@ def test_catalog_spot_check_above_default_bound():
     assert lam.size == 30
     for identity in IdentityId:
         assert all(o.passed for o in check_identity(identity, lam))
+
+
+def test_reported_sides_match_first_principles():
+    # every row of the report table: at each partition of size <= 8, the
+    # sides check_identity reports for each identity are the ones rebuilt
+    # from g_poly, hook_product and corner_sets, with no context and no
+    # cancelled tail, in value and in their JSON form
+    for n in range(1, 9):
+        for lam in enumerate_partitions(n):
+            for identity in IdentityId:
+                outcomes = check_identity(identity, lam, capture=True)
+                assert all(o.passed for o in outcomes), (identity, lam)
+                expected = catalog_sides(identity, lam)
+                assert [(o.corner_index, o.lhs, o.rhs) for o in outcomes] == expected
+                assert [o.to_json() for o in outcomes] == [
+                    VerificationOutcome(identity.value, lam, i, "pass", lhs, rhs).to_json()
+                    for i, lhs, rhs in expected
+                ], (identity, lam)
 
 
 def test_witness_capture_off_by_default_on_pass():
@@ -380,7 +397,6 @@ def test_unfaulted_workspace_matches_pure_functions():
         ws = Workspace()
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
-            assert ws.context(lam) is ctx
             assert ctx.corners == corner_sets(lam)
             g = g_poly(lam)
             assert ctx.h == hook_product(lam)

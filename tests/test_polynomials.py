@@ -7,13 +7,12 @@ from hypothesis import strategies as st
 from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
-    X,
     linear,
     product_of_linear_factors,
     rising_binomial,
     times_linear_factors,
 )
-from oracles import difference
+from oracles import X, difference
 from strategies import exact_coeffs, polynomials
 
 

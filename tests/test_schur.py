@@ -13,7 +13,7 @@ from hookshift import (
     schur_rhs,
     syt_count,
 )
-from hookshift.polynomials import ExactPolynomial, X, rising_binomial
+from hookshift.polynomials import ExactPolynomial, rising_binomial
 from hookshift.schur import (
     SchurExpansion,
     check_at_point,
@@ -25,6 +25,7 @@ from hookshift.schur import (
 )
 from oracles import (
     MonomialExpansion,
+    X,
     elementary_value,
     kostka,
     monomial_times_p1,
@@ -143,7 +144,7 @@ def test_sides_agree_up_to_seven():
 
 def test_check_theorem_1_2():
     for n in range(8):
-        assert check_theorem_1_2(n).passed
+        assert check_theorem_1_2(n) is None
     with pytest.raises(ValueError):
         check_theorem_1_2(-1)
 
@@ -157,7 +158,7 @@ def test_recurrence_by_hand_at_degree_one():
 
 def test_check_schur_recurrences():
     for n in range(1, 7):
-        assert check_schur_recurrences(n).passed
+        assert check_schur_recurrences(n) is None
     with pytest.raises(ValueError):
         check_schur_recurrences(0)
 
