@@ -20,7 +20,6 @@ import functools
 import json
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor, as_completed
 from contextlib import closing
 from dataclasses import dataclass, field
 
@@ -152,8 +151,9 @@ def _identity_unit(
     for lam in enumerate_partitions(n):
         ctx = ws.context(lam)
         for identity, row in zip(identities, rows):
-            for corner, ok, lhs, rhs in verdicts(identity, ctx, capture):
-                row["checked"] += 1
+            batch = verdicts(identity, ctx, capture)
+            row["checked"] += len(batch)
+            for corner, ok, lhs, rhs in batch:
                 if ok:
                     row["passed"] += 1
                     if not capture:
@@ -211,6 +211,9 @@ def _completed(units: list[tuple], workers: int):
         for fn, *args in units:
             yield fn(*args)
         return
+    # imported here: one-worker sweeps and every other command never need it
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     pool = ProcessPoolExecutor(max_workers=workers)
     try:
         for fut in as_completed([pool.submit(*unit) for unit in reversed(units)]):

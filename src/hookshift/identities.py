@@ -180,6 +180,8 @@ def g_poly(lam: Partition) -> ExactPolynomial:
 class PartitionContext:
     """Everything the identity checks read about one nonempty partition.
 
+    ``n`` is the size of ``lam`` and ``in_constants`` holds part(i) - i
+    over the in-corner rows, the constants of ``in_prod``'s factors.
     ``h`` is the hook product of ``lam`` and ``mu_h`` holds that of each
     corner removal, in in-corner row order; ``mu_h_prod`` is their
     product.  The g-polynomials are held reduced: ``g``, ``g_next``
@@ -196,7 +198,9 @@ class PartitionContext:
     """
 
     lam: Partition
+    n: int
     corners: CornerData
+    in_constants: tuple[int, ...]
     h: int
     head: int
     g: ExactPolynomial
@@ -210,11 +214,11 @@ class PartitionContext:
 
     def times_tail(self, p: ExactPolynomial) -> ExactPolynomial:
         """p * T, which turns a reduced polynomial back into its full form."""
-        return times_linear_factors(p, range(-self.head - 1, -self.lam.size, -1))
+        return times_linear_factors(p, range(-self.head - 1, -self.n, -1))
 
     def tail_at(self, k: int) -> int:
         """T(k), the product of (k - j) over j = head+1..n-1."""
-        return prod(range(k - self.lam.size + 1, k - self.head))
+        return prod(range(k - self.n + 1, k - self.head))
 
 
 def _head(constants: list[int]) -> int:
@@ -275,21 +279,24 @@ class Workspace:
         """The context of a nonempty partition."""
         n = lam.size
         corners = corner_sets(lam)
+        in_constants = tuple(lam[i - 1] - i for i in corners.in_corners)
         h, constants, a = self._inputs(lam)
-        removed = [self._removal(mu) for mu in corners.removal_list]
+        removals = corners.removal_list
+        removed = [self._removal(mu) for mu in removals]
         head = max(a, *(a_mu for _, _, a_mu in removed))
         mu_h = tuple(h_mu for h_mu, _, _ in removed)
         big = prod(mu_h)
         # corner_sum gains one term per in-corner row while in_prod gains
         # that row's factor, which every earlier term also takes
         in_prod, corner_sum = ONE, ExactPolynomial()
-        for i, h_mu in zip(corners.in_corners, mu_h):
-            c = (lam[i - 1] - i,)
-            corner_sum = times_linear_factors(corner_sum, c) + in_prod * (h * (big // h_mu))
-            in_prod = times_linear_factors(in_prod, c)
+        for c, h_mu in zip(in_constants, mu_h):
+            corner_sum = times_linear_factors(corner_sum, (c,)) + in_prod * (h * (big // h_mu))
+            in_prod = times_linear_factors(in_prod, (c,))
         return PartitionContext(
             lam,
+            n,
             corners,
+            in_constants,
             h,
             head,
             # g keeps its factors up to head and (x - n); g(x+1) keeps
@@ -298,7 +305,7 @@ class Workspace:
             product_of_linear_factors([c + 1 for c in constants[:head + 1]]),
             mu_h,
             tuple(self._mu_g(mu, c_mu, head)
-                  for mu, (_, c_mu, _) in zip(corners.removal_list, removed)),
+                  for mu, (_, c_mu, _) in zip(removals, removed)),
             big,
             in_prod,
             product_of_linear_factors(lam.part(i) - i + 1 for i in corners.out_corners),
@@ -320,7 +327,7 @@ def _cleared_hook_sum(ctx: PartitionContext):
     Every hook product is positive, so REC_1_2 (divided by (n-1)!) and
     COR_4_4 (divided by H) hold exactly when these two are equal."""
     big = ctx.mu_h_prod
-    return [(None, ctx.lam.size * big, ctx.h * sum(big // h for h in ctx.mu_h))]
+    return [(None, ctx.n * big, ctx.h * sum(big // h for h in ctx.mu_h))]
 
 
 def _check_remark_dn(ctx: PartitionContext):
@@ -330,7 +337,7 @@ def _check_remark_dn(ctx: PartitionContext):
     # sum of g's own values at 0..n (Boole's finite-difference identity).
     # Each value is the reduced g's times T's, and T vanishes at
     # k = head+1..n-1.
-    n, g = ctx.lam.size, ctx.g
+    n, g = ctx.n, ctx.g
     lhs = sum(
         (-1) ** (n - k) * comb(n, k) * g(k) * t
         for k in range(n + 1)
@@ -341,8 +348,8 @@ def _check_remark_dn(ctx: PartitionContext):
 
 def _check_corner_ratio_2_2(ctx: PartitionContext):
     out = []
-    for i, h_mu, g_mu in zip(ctx.corners.in_corners, ctx.mu_h, ctx.mu_g):
-        a = i - ctx.lam.part(i)
+    for i, c, h_mu, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_h, ctx.mu_g):
+        a = -c  # i - part(i)
         lhs = ctx.h * g_mu(a) * ctx.tail_at(a)
         rhs = h_mu * ctx.g(a + 1) * ctx.tail_at(a + 1)
         out.append((i, lhs, rhs))
@@ -351,26 +358,20 @@ def _check_corner_ratio_2_2(ctx: PartitionContext):
 
 def _check_quotient_4_2(ctx: PartitionContext):
     out = []
-    for i, g_mu in zip(ctx.corners.in_corners, ctx.mu_g):
-        c = ctx.lam.part(i) - i
-        lhs = times_linear_factors(g_mu, (c, -ctx.lam.size))
+    for i, c, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_g):
+        lhs = times_linear_factors(g_mu, (c, -ctx.n))
         out.append((i, lhs, times_linear_factors(ctx.g, (c - 1,))))
     return out
 
 
-def _in_constants(ctx: PartitionContext) -> list[int]:
-    """part(i) - i over the in-corner rows: in_prod's factor constants."""
-    return [ctx.lam.part(i) - i for i in ctx.corners.in_corners]
-
-
 def _check_thm_4_1(ctx: PartitionContext):
-    diff = times_linear_factors(ctx.g, (0,)) - times_linear_factors(ctx.g_next, (-ctx.lam.size,))
-    rhs = times_linear_factors(diff, _in_constants(ctx)) * ctx.mu_h_prod
+    diff = times_linear_factors(ctx.g, (0,)) - times_linear_factors(ctx.g_next, (-ctx.n,))
+    rhs = times_linear_factors(diff, ctx.in_constants) * ctx.mu_h_prod
     return [(None, ctx.corner_sum * ctx.g, rhs)]
 
 
 def _check_eq_4_6(ctx: PartitionContext):
-    lhs = times_linear_factors(ctx.g_next, [-ctx.lam.size, *_in_constants(ctx)])
+    lhs = times_linear_factors(ctx.g_next, (-ctx.n, *ctx.in_constants))
     rhs = times_linear_factors(ctx.g, [ctx.lam.part(i) - i + 1 for i in ctx.corners.out_corners])
     return [(None, lhs, rhs)]
 
@@ -390,13 +391,13 @@ def _times_tail(ctx: PartitionContext, lhs, rhs):
 
 def _tableau_counts(ctx: PartitionContext, lhs, rhs):
     # n!/H against the sum of (n-1)!/H_mu, Fractions under a hook fault
-    n = ctx.lam.size
+    n = ctx.n
     return (Fraction(factorial(n), ctx.h),
             sum(Fraction(factorial(n - 1), h) for h in ctx.mu_h))
 
 
 def _hook_ratio_sum(ctx: PartitionContext, lhs, rhs):
-    return sum((Fraction(ctx.h, h) for h in ctx.mu_h), start=Fraction(0)), ctx.lam.size
+    return sum((Fraction(ctx.h, h) for h in ctx.mu_h), start=Fraction(0)), ctx.n
 
 
 def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):

@@ -158,7 +158,8 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
         yield Partition()
         return
     cur = [n]
-    yield Partition(cur)
+    # trusted constructor: every tuple built here is a partition
+    yield tuple.__new__(Partition, cur)
     while True:
         i = len(cur) - 1
         while i >= 0 and cur[i] == 1:
@@ -173,7 +174,7 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             p = min(m, rem)
             cur.append(p)
             rem -= p
-        yield Partition(cur)
+        yield tuple.__new__(Partition, cur)
 
 
 def hook_length(lam: Partition, cell: Cell) -> int:
@@ -182,22 +183,30 @@ def hook_length(lam: Partition, cell: Cell) -> int:
     cell = Cell(*cell)
     if not lam.contains_cell(cell):
         raise PartitionError(f"cell {tuple(cell)} outside the diagram of {lam}")
-    conj = lam.conjugate()
-    return (lam[cell.row - 1] - cell.col) + (conj[cell.col - 1] - cell.row) + 1
+    return hook_lengths(lam)[cell.row - 1][cell.col - 1]
+
+
+def _hook_rows(lam: Partition) -> Iterator[Iterator[int]]:
+    """Each row's hook lengths, lazily.  Box (i, j) has hook
+    (part(i) - j) + (lam'_j - i) + 1 = (part(i) - i) + (lam'_j - j + 1),
+    with lam'_j the length of column j."""
+    cols = []  # lam'_j - j + 1 for j = 1..part(1)
+    k = len(lam)
+    for j in range(lam[0] if lam else 0):
+        while lam[k - 1] <= j:
+            k -= 1
+        cols.append(k - j)
+    return (map((p - i).__add__, cols[:p]) for i, p in enumerate(lam, 1))
 
 
 def hook_lengths(lam: Partition) -> list[list[int]]:
     """Hook lengths of every box, as rows matching the diagram."""
-    conj = lam.conjugate()
-    return [
-        [(p - j) + (conj[j] - i) - 1 for j in range(p)]
-        for i, p in enumerate(lam)
-    ]
+    return [list(row) for row in _hook_rows(lam)]
 
 
 def hook_product(lam: Partition) -> int:
     """Product of all hook lengths; 1 for the empty partition."""
-    return prod(h for row in hook_lengths(lam) for h in row)
+    return prod(map(prod, _hook_rows(lam)))
 
 
 def syt_count(lam: Partition) -> int:

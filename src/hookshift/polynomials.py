@@ -4,6 +4,12 @@ Coefficients are plain ``int`` or ``fractions.Fraction`` and never leave
 exact types; the two mix freely under Python arithmetic, so integer-only
 polynomials (the common case here) pay no normalization cost.  Floats are
 rejected outright.
+
+Every polynomial the identity checks build is a product of monic linear
+factors (x + c) times a few more, so ``times_linear_factors`` is the
+kernel under all of them: it updates one coefficient list in place, one
+pass per factor, and needs no trim of trailing zeros because a monic
+factor keeps the leading coefficient nonzero.
 """
 
 from __future__ import annotations
@@ -15,13 +21,18 @@ from typing import Iterable, Union
 Coeff = Union[int, Fraction]
 
 
-def _make(coeffs: list) -> "ExactPolynomial":
-    # trusted constructor: coeffs already exact, list ownership transfers
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
+def _wrap(coeffs: list) -> "ExactPolynomial":
+    # trusted constructor: coeffs already exact, leading one nonzero
     p = ExactPolynomial.__new__(ExactPolynomial)
     p.coeffs = tuple(coeffs)
     return p
+
+
+def _make(coeffs: list) -> "ExactPolynomial":
+    # trusted constructor that trims; list ownership transfers
+    while coeffs and not coeffs[-1]:
+        coeffs.pop()
+    return _wrap(coeffs)
 
 
 class ExactPolynomial:
@@ -67,10 +78,10 @@ class ExactPolynomial:
         return _make([-c for c in self.coeffs])
 
     def __add__(self, other) -> "ExactPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = ExactPolynomial((other,))
         if not isinstance(other, ExactPolynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ExactPolynomial((other,))
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -82,10 +93,10 @@ class ExactPolynomial:
     __radd__ = __add__
 
     def __sub__(self, other) -> "ExactPolynomial":
-        if isinstance(other, (int, Fraction)):
-            other = ExactPolynomial((other,))
         if not isinstance(other, ExactPolynomial):
-            return NotImplemented
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = ExactPolynomial((other,))
         out = list(self.coeffs)
         b = other.coeffs
         if len(b) > len(out):
@@ -101,7 +112,8 @@ class ExactPolynomial:
         if not isinstance(other, ExactPolynomial):
             if not isinstance(other, (int, Fraction)):
                 return NotImplemented
-            return _make([c * other for c in self.coeffs] if other else [])
+            # a nonzero scalar keeps every nonzero coefficient nonzero
+            return _wrap([c * other for c in self.coeffs] if other else [])
         a, b = self.coeffs, other.coeffs
         if not a or not b:
             return _make([])
@@ -189,13 +201,24 @@ def product_of_linear_factors(constants: Iterable[Coeff]) -> ExactPolynomial:
 
 
 def times_linear_factors(p: ExactPolynomial, constants: Iterable[Coeff]) -> ExactPolynomial:
-    """p * prod (x + c) over the given constants, one pass per factor."""
+    """p * prod (x + c) over the given constants.
+
+    One coefficient list is updated in place, one pass per factor: the
+    coefficient of x**k becomes c times itself plus the old coefficient
+    of x**(k-1), and the old leading coefficient moves up one degree.
+    The result needs no trim, since a monic factor keeps p's leading
+    coefficient, which is nonzero.
+    """
     coeffs = list(p.coeffs)
     if not coeffs:
         return p
     for c in constants:
-        coeffs = [c * coeffs[0], *[q + c * r for q, r in zip(coeffs, coeffs[1:])], coeffs[-1]]
-    return _make(coeffs)
+        prev = 0
+        for k, q in enumerate(coeffs):
+            coeffs[k] = prev + c * q
+            prev = q
+        coeffs.append(prev)
+    return _wrap(coeffs)
 
 
 def rising_binomial(k: int) -> ExactPolynomial:

@@ -126,6 +126,15 @@ def test_enumeration_complete_and_duplicate_free():
         assert set(map(tuple, got)) == set(partitions_bruteforce(n))
 
 
+def test_enumerated_partitions_are_valid_to_12():
+    # enumeration skips the validating constructor
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            assert type(lam) is Partition
+            assert Partition(tuple(lam)) == lam
+            assert lam.size == n
+
+
 def test_enumeration_rejects_negative():
     with pytest.raises(ValueError):
         list(enumerate_partitions(-1))
@@ -162,6 +171,12 @@ def test_hook_product_examples():
         hook_product(Partition((5, 5, 3, 2, 1))),
     )
     assert ratio[0] * (3 * 1 * 1 * 4 * 5) == ratio[1] * (4 * 2 * 1 * 2 * 5 * 6)
+
+
+def test_hook_product_matches_box_counting_to_12():
+    for n in range(13):
+        for lam in enumerate_partitions(n):
+            assert hook_product(lam) == prod(hook_by_box_count(lam, c) for c in lam.cells())
 
 
 # --- standard Young tableaux ----------------------------------------------

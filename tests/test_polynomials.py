@@ -189,6 +189,29 @@ def test_product_with_a_two_coefficient_operand(p, b0, b1):
     assert factor * p == expected
 
 
-@given(polynomials(max_degree=8), st.lists(exact_coeffs, max_size=5))
+@given(
+    polynomials(max_degree=8),
+    st.lists(st.one_of(st.just(0), exact_coeffs), max_size=5),
+)
 def test_times_linear_factors_is_the_product(p, constants):
-    assert times_linear_factors(p, constants) == p * product_of_linear_factors(constants)
+    # the schoolbook product over explicit (x + c) factors, so a wrong
+    # kernel cannot agree with itself through product_of_linear_factors
+    expected = p
+    for c in constants:
+        expected = _schoolbook(expected, ExactPolynomial((c, 1)))
+    got = times_linear_factors(p, constants)
+    assert got == expected
+    if p:
+        assert got.coeffs[-1] != 0
+        assert got.degree == p.degree + len(constants)
+    else:
+        assert got.coeffs == ()
+
+
+def test_times_linear_factors_examples():
+    assert times_linear_factors(ONE, [0, 0]).coeffs == (0, 0, 1)
+    assert times_linear_factors(ExactPolynomial(), [1, 2]) == ExactPolynomial()
+    half = Fraction(1, 2)
+    assert times_linear_factors(ExactPolynomial((2,)), [half, -half]).coeffs == (
+        Fraction(-1, 2), 0, 2,
+    )
