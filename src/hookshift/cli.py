@@ -163,13 +163,15 @@ def _parse_identity_selection(text: str):
 
 
 def _cmd_sweep(args) -> int:
-    jobs = args.jobs if args.jobs == "auto" else int(args.jobs)
+    jobs = args.jobs
+    if jobs != "auto" and not (jobs.isdigit() and int(jobs) > 0):
+        raise ValueError(f"bad --jobs value {jobs!r}: expected 'auto' or a positive integer")
     config = SweepConfig(
         max_n_identities=args.max_n,
         max_n_theorem_1_2=args.max_n_schur,
         max_n_oracles=min(args.max_n_oracle, args.max_n_schur),
         identities=_parse_identity_selection(args.identities),
-        parallelism=jobs,
+        parallelism=jobs if jobs == "auto" else int(jobs),
         output_format=args.format,
         fail_fast=args.fail_fast,
         capture_witnesses=args.witnesses,

@@ -24,7 +24,7 @@ from contextlib import closing
 from dataclasses import dataclass, field
 
 from .identities import Fault, IdentityId, VerificationOutcome, Workspace, verdicts
-from .partitions import enumerate_partitions
+from .partitions import enumerate_partitions, partition_count
 from .schur import check_at_point, check_schur_recurrences, check_theorem_1_2, schur_sides
 
 CATALOG = tuple(IdentityId)
@@ -148,7 +148,14 @@ def _identity_unit(
         {"identity": i.value, "n": n, "checked": 0, "passed": 0, "failures": [], "witnesses": []}
         for i in identities
     ]
-    for lam in enumerate_partitions(n):
+    # the unit proves its own coverage: a strictly decreasing run of p(n)
+    # partitions of n is every partition of n, each once
+    lams = list(enumerate_partitions(n))
+    if not all(map(tuple.__gt__, lams, lams[1:])):
+        raise RuntimeError(f"partitions of {n} not in strictly decreasing order")
+    if len(lams) != partition_count(n):
+        raise RuntimeError(f"enumerated {len(lams)} partitions of {n}, not p({n}) = {partition_count(n)}")
+    for lam in lams:
         ctx = ws.context(lam)
         for identity, row in zip(identities, rows):
             batch = verdicts(identity, ctx, capture)

@@ -9,11 +9,11 @@ Every identity in the catalog is decided in fully cleared polynomial or
 integer form: denominators in x are multiplied out and hook products are
 cleared to integers, so no rational-function arithmetic (and none of its
 spurious poles) ever occurs.  The polynomial identities are compared
-after cancelling the monic tail factor that every g-polynomial of one
-partition's context shares, which decides the same equality.  Each
-check returns the two sides it compares, and one table says how each
-identity reports them as witnesses: for failures, and for passes on
-request.
+after cancelling the monic common factor of g, g(x+1) and every corner
+removal's g, which each term of each side carries, so the comparison
+decides the same equality.  Each check returns the two sides it
+compares, and one table says how each identity reports them as
+witnesses: for failures, and for passes on request.
 """
 
 from __future__ import annotations
@@ -22,6 +22,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial, prod
+from operator import mul
 from typing import Optional, Union
 
 from .partitions import (
@@ -37,7 +38,6 @@ from .partitions import (
 )
 from .polynomials import (
     ExactPolynomial,
-    ONE,
     product_of_linear_factors,
     times_linear_factors,
 )
@@ -180,74 +180,58 @@ def g_poly(lam: Partition) -> ExactPolynomial:
 class PartitionContext:
     """Everything the identity checks read about one nonempty partition.
 
-    ``n`` is the size of ``lam`` and ``in_constants`` holds part(i) - i
-    over the in-corner rows, the constants of ``in_prod``'s factors.
-    ``h`` is the hook product of ``lam`` and ``mu_h`` holds that of each
-    corner removal, in in-corner row order; ``mu_h_prod`` is their
-    product.  The g-polynomials are held reduced: ``g``, ``g_next``
-    (g(x+1)) and ``mu_g`` (each removal's g) are each divided by the tail
-    T = prod (x - j), j = head+1..n-1, a factor all of them share
-    because their factors past ``head`` are (x - i).  ``head`` is the
-    largest head-run end over ``lam`` and its removals, so a g-factor
-    fault past the last row moves it and stays in the reduced product.
-    ``in_prod`` and ``out_prod`` are the products of (x + part(i) - i)
-    over the in-corner rows and of (x + part(i) - i + 1) over the
-    out-corner rows; ``corner_sum`` is the THM_4_1 / THM_4_2 left side,
-    the sum over in-corner rows of H/H_mu / (x + part(i) - i), cleared by
-    ``in_prod`` and ``mu_h_prod``.
+    ``n`` is the size of ``lam``.  ``constants`` holds the constants c_i
+    of g's factors (x + c_i), fault substituted, and ``mu_constants``
+    those of each corner removal's g, in in-corner row order, as ``mu_h``
+    holds their hook products; ``mu_h_prod`` is the product of those, and
+    ``h`` is the hook product of ``lam``.  ``g``, ``g_next`` (g(x+1)) and
+    ``mu_g`` are held divided by their common factor F, the product of
+    (x + c_i) over ``common``: the c_i of each index i < n where g's i-th
+    factor is also g(x+1)'s (i+1)-th and every removal's i-th.  Unfaulted,
+    that is every row but the k in-corner rows, so about k + 1 factors
+    stay in g and g(x+1), and k in each removal's g.  ``in_prod`` and
+    ``out_prod`` are the products of (x + part(i) - i) over the in-corner
+    rows, whose constants are ``in_constants``, and of (x + part(i) - i + 1)
+    over the out-corner rows; ``corner_sum`` is the THM_4_1 / THM_4_2 left
+    side, the sum over in-corner rows of H/H_mu / (x + part(i) - i), cleared
+    by ``in_prod`` and ``mu_h_prod``.
     """
 
     lam: Partition
     n: int
     corners: CornerData
+    constants: list[int]
     in_constants: tuple[int, ...]
+    common: list[int]
     h: int
-    head: int
     g: ExactPolynomial
     g_next: ExactPolynomial
     mu_h: tuple[int, ...]
+    mu_constants: tuple[list[int], ...]
     mu_g: tuple[ExactPolynomial, ...]
     mu_h_prod: int
     in_prod: ExactPolynomial
     out_prod: ExactPolynomial
     corner_sum: ExactPolynomial
 
-    def times_tail(self, p: ExactPolynomial) -> ExactPolynomial:
-        """p * T, which turns a reduced polynomial back into its full form."""
-        return times_linear_factors(p, range(-self.head - 1, -self.n, -1))
-
-    def tail_at(self, k: int) -> int:
-        """T(k), the product of (k - j) over j = head+1..n-1."""
-        return prod(range(k - self.n + 1, k - self.head))
-
-
-def _head(constants: list[int]) -> int:
-    """The least a with constants[i - 1] == -i for every i > a: past a,
-    every factor (x + c_i) is (x - i)."""
-    a = len(constants)
-    while a and constants[a - 1] == -a:
-        a -= 1
-    return a
-
 
 class Workspace:
-    """Memo of hook products and g-polynomials for one unit of work.
+    """Memo of hook products and g-factor constants for one unit of work.
 
     Every value the checks read is computed once here, on first use, and
     that is the one place a fault substitutes its perturbed value (into
     the hook lengths or g-factor constants, before anything is built), so
-    a whole sweep can be rerun against a single wrong input.  Drop the
-    workspace to drop its memo.
+    a whole sweep can be rerun against a single wrong input.  Each
+    context's common factor is read off those substituted constants, so
+    a fault can only shrink it.  Drop the workspace to drop its memo.
     """
 
     def __init__(self, fault: Fault | None = None):
         self.fault = fault
-        self._inputs_of: dict[Partition, tuple[int, list[int], int]] = {}
-        self._reduced_g: dict[tuple[Partition, int], ExactPolynomial] = {}
+        self._inputs_of: dict[Partition, tuple[int, list[int]]] = {}
 
-    def _inputs(self, lam: Partition) -> tuple[int, list[int], int]:
-        """The hook product, the g-factor constants (fault substituted) and
-        their head-run end."""
+    def _inputs(self, lam: Partition) -> tuple[int, list[int]]:
+        """The hook product and the g-factor constants, fault substituted."""
         f = self.fault
         constants = shifted_part_constants(lam)
         if f is None or f.partition != lam:
@@ -259,20 +243,12 @@ class Workspace:
             else:
                 constants[f.index - 1] += f.delta
             h = prod(h for row in hooks for h in row)
-        return h, constants, _head(constants)
+        return h, constants
 
-    def _removal(self, mu: Partition) -> tuple[int, list[int], int]:
+    def _removal(self, mu: Partition) -> tuple[int, list[int]]:
         hit = self._inputs_of.get(mu)
         if hit is None:
             hit = self._inputs_of[mu] = self._inputs(mu)
-        return hit
-
-    def _mu_g(self, mu: Partition, constants: list[int], head: int) -> ExactPolynomial:
-        """A removal's g over the tail that ends at ``head``: its factors
-        past ``head`` are all in T."""
-        hit = self._reduced_g.get((mu, head))
-        if hit is None:
-            hit = self._reduced_g[mu, head] = product_of_linear_factors(constants[:head])
         return hit
 
     def context(self, lam: Partition) -> PartitionContext:
@@ -280,45 +256,55 @@ class Workspace:
         n = lam.size
         corners = corner_sets(lam)
         in_constants = tuple(lam[i - 1] - i for i in corners.in_corners)
-        h, constants, a = self._inputs(lam)
-        removals = corners.removal_list
-        removed = [self._removal(mu) for mu in removals]
-        head = max(a, *(a_mu for _, _, a_mu in removed))
-        mu_h = tuple(h_mu for h_mu, _, _ in removed)
+        h, c = self._inputs(lam)
+        mu_h, mu_c = zip(*map(self._removal, corners.removal_list))
+        # index k + 1 is shared when its column, g's k-th constant (0-based),
+        # g(x+1)'s next one and each removal's k-th, holds a single value
+        m = len(mu_c) + 2
+        unshared = [k for k, col in enumerate(zip(c, [b + 1 for b in c[1:]], *mu_c))
+                if col.count(col[0]) < m]
         big = prod(mu_h)
         # corner_sum gains one term per in-corner row while in_prod gains
-        # that row's factor, which every earlier term also takes
-        in_prod, corner_sum = ONE, ExactPolynomial()
-        for c, h_mu in zip(in_constants, mu_h):
-            corner_sum = times_linear_factors(corner_sum, (c,)) + in_prod * (h * (big // h_mu))
-            in_prod = times_linear_factors(in_prod, (c,))
+        # that row's factor (x + a), which every earlier term also takes:
+        # s <- s (x + a) + w p and p <- p (x + a), in place, with s padded
+        # by one zero to p's length and u, q the old s[k-1], p[k-1]
+        p, s = [1], [0]
+        for a, h_mu in zip(in_constants, mu_h):
+            w, u, q = h * (big // h_mu), 0, 0
+            for k in range(len(p)):
+                u, q, s[k], p[k] = s[k], p[k], u + a * s[k] + w * p[k], q + a * p[k]
+            s.append(u)
+            p.append(q)
         return PartitionContext(
             lam,
             n,
             corners,
+            c,
             in_constants,
+            [c[k] for k in range(n - 1) if k not in unshared],
             h,
-            head,
-            # g keeps its factors up to head and (x - n); g(x+1) keeps
-            # those up to head + 1, the last of them (x - head)
-            product_of_linear_factors(constants[:head] + constants[max(head, n - 1):]),
-            product_of_linear_factors([c + 1 for c in constants[:head + 1]]),
+            # g keeps its unshared factors and its last, (x + c_n); g(x+1)
+            # keeps its first and the one after each unshared index
+            product_of_linear_factors([*(c[k] for k in unshared), c[-1]]),
+            product_of_linear_factors([c[0] + 1, *(c[k + 1] + 1 for k in unshared)]),
             mu_h,
-            tuple(self._mu_g(mu, c_mu, head)
-                  for mu, (_, c_mu, _) in zip(removals, removed)),
+            mu_c,
+            tuple(product_of_linear_factors([c_mu[k] for k in unshared]) for c_mu in mu_c),
             big,
-            in_prod,
+            ExactPolynomial(p),
             product_of_linear_factors(lam.part(i) - i + 1 for i in corners.out_corners),
-            corner_sum,
+            ExactPolynomial(s[:-1]),
         )
 
 
 def _check_thm_1_1(ctx: PartitionContext):
     big = ctx.mu_h_prod
     lhs = (ctx.g_next - ctx.g) * big
-    rhs = ExactPolynomial()
-    for g_mu, h in zip(ctx.mu_g, ctx.mu_h):
-        rhs = rhs + g_mu * (ctx.h * (big // h))
+    # every reduced g_mu has one factor per unshared index, so their
+    # coefficients line up
+    weights = [ctx.h * (big // h) for h in ctx.mu_h]
+    rhs = ExactPolynomial([sum(map(mul, weights, col))
+                           for col in zip(*(g_mu.coeffs for g_mu in ctx.mu_g))])
     return [(None, lhs, rhs)]
 
 
@@ -334,24 +320,22 @@ def _check_remark_dn(ctx: PartitionContext):
     # cleared by H: the n-fold difference of g against f * H, with f from
     # a formula that reads no hook length.  g is monic of degree n even
     # under a fault, so the difference is a single constant, the binomial
-    # sum of g's own values at 0..n (Boole's finite-difference identity).
-    # Each value is the reduced g's times T's, and T vanishes at
-    # k = head+1..n-1.
-    n, g = ctx.n, ctx.g
-    lhs = sum(
-        (-1) ** (n - k) * comb(n, k) * g(k) * t
-        for k in range(n + 1)
-        if (t := ctx.tail_at(k))
-    )
+    # sum of g's own values at 0..n (Boole's finite-difference identity),
+    # of which those at the roots -c of g's factors vanish.
+    n, c = ctx.n, ctx.constants
+    roots = set(c)
+    lhs = sum((-1) ** (n - k) * comb(n, k) * prod(map(k.__add__, c))
+              for k in range(n + 1) if -k not in roots)
     return [(None, lhs, syt_count(ctx.lam) * ctx.h)]
 
 
 def _check_corner_ratio_2_2(ctx: PartitionContext):
     out = []
-    for i, c, h_mu, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_h, ctx.mu_g):
+    for i, c, h_mu, c_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_h,
+                                ctx.mu_constants):
         a = -c  # i - part(i)
-        lhs = ctx.h * g_mu(a) * ctx.tail_at(a)
-        rhs = h_mu * ctx.g(a + 1) * ctx.tail_at(a + 1)
+        lhs = ctx.h * prod(map(a.__add__, c_mu))
+        rhs = h_mu * prod(map((a + 1).__add__, ctx.constants))
         out.append((i, lhs, rhs))
     return out
 
@@ -385,8 +369,9 @@ def _as_compared(ctx: PartitionContext, lhs, rhs):
     return lhs, rhs
 
 
-def _times_tail(ctx: PartitionContext, lhs, rhs):
-    return ctx.times_tail(lhs), ctx.times_tail(rhs)
+def _times_common(ctx: PartitionContext, lhs, rhs):
+    # multiplied back by F, each side takes its full form
+    return times_linear_factors(lhs, ctx.common), times_linear_factors(rhs, ctx.common)
 
 
 def _tableau_counts(ctx: PartitionContext, lhs, rhs):
@@ -408,14 +393,14 @@ def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):
 # each identity's check, yielding (corner, lhs, rhs) with the sides as
 # compared, and how a failing or captured check reports those sides
 _CHECKERS = {
-    IdentityId.THM_1_1: (_check_thm_1_1, _times_tail),
+    IdentityId.THM_1_1: (_check_thm_1_1, _times_common),
     IdentityId.REC_1_2: (_cleared_hook_sum, _tableau_counts),
     IdentityId.REC_1_3: (_cleared_hook_sum, _as_compared),
     IdentityId.REMARK_DN: (_check_remark_dn, _as_compared),
     IdentityId.CORNER_RATIO_2_2: (_check_corner_ratio_2_2, _as_compared),
-    IdentityId.QUOTIENT_4_2: (_check_quotient_4_2, _times_tail),
-    IdentityId.THM_4_1: (_check_thm_4_1, _times_tail),
-    IdentityId.EQ_4_6: (_check_eq_4_6, _times_tail),
+    IdentityId.QUOTIENT_4_2: (_check_quotient_4_2, _times_common),
+    IdentityId.THM_4_1: (_check_thm_4_1, _times_common),
+    IdentityId.EQ_4_6: (_check_eq_4_6, _times_common),
     IdentityId.THM_4_2: (_check_thm_4_2, _hooks_divided_out),
     IdentityId.COR_4_4: (_cleared_hook_sum, _hook_ratio_sum),
 }

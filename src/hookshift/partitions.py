@@ -63,16 +63,6 @@ class Partition(tuple):
     def contains_cell(self, cell: Cell) -> bool:
         return 1 <= cell.row <= len(self) and 1 <= cell.col <= self[cell.row - 1]
 
-    def conjugate(self) -> "Partition":
-        """Column lengths of the diagram; an involution."""
-        if not self:
-            return Partition()
-        counts = [0] * self[0]
-        for p in self:
-            for j in range(p):
-                counts[j] += 1
-        return Partition(counts)
-
     def __getnewargs__(self):
         return (tuple(self),)
 
@@ -175,6 +165,17 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
             cur.append(p)
             rem -= p
         yield tuple.__new__(Partition, cur)
+
+
+def partition_count(n: int) -> int:
+    """p(n) by Euler's pentagonal-number recurrence, which enumerates
+    nothing: p(m) = sum over k >= 1 of (-1)^(k+1) (p(m - k(3k-1)/2) +
+    p(m - k(3k+1)/2))."""
+    p = [1]
+    for m in range(1, n + 1):
+        p.append(sum((-1) ** (k + 1) * (p[m - j] + (p[m - j - k] if j + k <= m else 0))
+                     for k in range(1, m + 1) if (j := k * (3 * k - 1) // 2) <= m))
+    return p[n]
 
 
 def hook_length(lam: Partition, cell: Cell) -> int:

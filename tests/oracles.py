@@ -44,21 +44,6 @@ def partitions_bruteforce(n, max_part=None):
             yield (first,) + rest
 
 
-def pentagonal_counts(limit):
-    """Partition numbers p(0..limit) by Euler's pentagonal recurrence."""
-    p = [1] + [0] * limit
-    for n in range(1, limit + 1):
-        total, k = 0, 1
-        while k * (3 * k - 1) // 2 <= n:
-            sign = 1 if k % 2 else -1
-            total += sign * p[n - k * (3 * k - 1) // 2]
-            if k * (3 * k + 1) // 2 <= n:
-                total += sign * p[n - k * (3 * k + 1) // 2]
-            k += 1
-        p[n] = total
-    return p
-
-
 def syt_count_bruteforce(lam, limit=10):
     """Count standard Young tableaux by exhaustive corner-removal recursion.
 

@@ -4,6 +4,7 @@ import multiprocessing
 import pytest
 
 import hookshift.cli as cli
+import hookshift.harness as harness
 import hookshift.identities as identities
 from hookshift import Fault, IdentityId, Partition
 from hookshift.harness import SweepConfig, run_sweep
@@ -150,6 +151,13 @@ def test_sweep_identities_flag_rejects_unknown(capsys):
     assert "bad --identities" in err
 
 
+@pytest.mark.parametrize("jobs", ["abc", "0", "-1", "1.5", ""])
+def test_sweep_rejects_bad_jobs(jobs, capsys):
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "3", "--jobs", jobs)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad --jobs value {jobs!r}: expected 'auto' or a positive integer\n"
+
+
 def test_sweep_rejects_empty_identity_selection(capsys):
     for selection in ("", ","):
         code, out, err = run_cli(capsys, "sweep", "--identities", selection, "--max-n", "3",
@@ -205,6 +213,30 @@ def test_sweep_crash_is_reported(jobs, monkeypatch, capsys):
     assert code == 3
     assert out == ""
     assert err == "error: sweep aborted: ZeroDivisionError: planted\n"
+
+
+@pytest.mark.parametrize(
+    "tamper, message",
+    [
+        (lambda parts: parts[:-1], "enumerated 4 partitions of 4, not p(4) = 5"),
+        (lambda parts: parts[:2] + parts[1:], "partitions of 4 not in strictly decreasing order"),
+    ],
+    ids=["drops-one", "repeats-one"],
+)
+def test_sweep_proves_its_coverage(tamper, message, monkeypatch, capsys):
+    # each identity unit counts its partitions against p(n) and checks that
+    # they strictly decrease, so a lost or repeated partition aborts the sweep
+    enumerate_partitions = harness.enumerate_partitions
+
+    def tampered(n):
+        parts = list(enumerate_partitions(n))
+        return iter(tamper(parts) if n == 4 else parts)
+
+    monkeypatch.setattr(harness, "enumerate_partitions", tampered)
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "5", "--max-n-schur", "1",
+                             "--max-n-oracle", "1", "--jobs", "1")
+    assert (code, out) == (3, "")
+    assert err == f"error: sweep aborted: RuntimeError: {message}\n"
 
 
 def test_sweep_exit_code_on_failure(monkeypatch, capsys):

@@ -23,11 +23,17 @@ from hookshift.polynomials import (
     ONE,
     linear,
     product_of_linear_factors,
+    times_linear_factors,
 )
 from oracles import X, catalog_sides, corner_quotient_factors, difference, g_value_by_factors
 from strategies import partitions
 
 LAM = Partition((5, 5, 3, 3, 1))
+
+
+def _full(ctx, p):
+    """A reduced polynomial of the context times the common factor F."""
+    return times_linear_factors(p, ctx.common)
 
 
 # --- the g-polynomial -------------------------------------------------------
@@ -276,7 +282,7 @@ def test_iterated_difference_matches_binomial_sum_to_10():
     cases += [(f.partition, Workspace(f)) for f in (hook, gfac)]
     for lam, ws in cases:
         ctx = ws.context(lam)
-        d = ctx.times_tail(ctx.g)
+        d = _full(ctx, ctx.g)
         if ws.fault is None:
             assert all(d(x) == g_value_by_factors(lam, x) for x in range(-9, 10)), lam
         for _ in range(lam.size):
@@ -286,7 +292,7 @@ def test_iterated_difference_matches_binomial_sum_to_10():
         assert d == outcome.lhs == factorial(lam.size), lam
         assert outcome.passed == (ws.fault is not hook), lam
     ctx = Workspace(gfac).context(gfac.partition)
-    assert ctx.times_tail(ctx.g) != g_poly(gfac.partition)
+    assert _full(ctx, ctx.g) != g_poly(gfac.partition)
 
 
 def test_cor_4_4_sum_is_exactly_n():
@@ -400,10 +406,10 @@ def test_unfaulted_workspace_matches_pure_functions():
             assert ctx.corners == corner_sets(lam)
             g = g_poly(lam)
             assert ctx.h == hook_product(lam)
-            assert (ctx.times_tail(ctx.g), ctx.times_tail(ctx.g_next)) == (g, g.shift(1))
+            assert (_full(ctx, ctx.g), _full(ctx, ctx.g_next)) == (g, g.shift(1))
             mus = ctx.corners.removal_list
             assert ctx.mu_h == tuple(hook_product(mu) for mu in mus)
-            assert tuple(map(ctx.times_tail, ctx.mu_g)) == tuple(g_poly(mu) for mu in mus)
+            assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(g_poly(mu) for mu in mus)
             assert Fraction(factorial(n), ctx.h) == syt_count(lam)
             assert ctx.mu_h_prod == prod(hook_product(mu) for mu in mus)
             den = [linear(lam.part(i) - i) for i in ctx.corners.in_corners]
@@ -426,19 +432,19 @@ def test_unfaulted_workspace_matches_pure_functions():
 )
 def test_g_factor_fault_reaches_g_and_g_next(parts, index):
     # index 1 is a row factor; index 3 and up lie beyond the length, among
-    # the trailing factors (x - i), where a fault moves the context's head
-    # so that the faulted factor stays out of the cancelled tail
+    # the trailing factors (x - i), where a fault unshares its index so
+    # that the faulted factor stays out of the cancelled common factor
     lam = Partition(parts)
     ws = Workspace(Fault(kind="g-factor", partition=lam, index=index, delta=1))
     constants = shifted_part_constants(lam)
     constants[index - 1] += 1
     ctx = ws.context(lam)
-    g = ctx.times_tail(ctx.g)
+    g = _full(ctx, ctx.g)
     assert g == product_of_linear_factors(constants) != g_poly(lam)
-    assert ctx.times_tail(ctx.g_next) == g.shift(1)
+    assert _full(ctx, ctx.g_next) == g.shift(1)
     # a partition one box larger reads the faulted g for that removal
     bigger = ws.context(Partition((parts[0] + 1, *parts[1:])))
-    assert g in map(bigger.times_tail, bigger.mu_g)
+    assert g in (_full(bigger, p) for p in bigger.mu_g)
 
 
 def _faulted_g(lam, fault):
@@ -459,23 +465,51 @@ def _faulted_g(lam, fault):
         Fault(kind="g-factor", partition=Partition((4, 1)), index=3),
         Fault(kind="g-factor", partition=Partition((5,)), index=5),
         Fault(kind="g-factor", partition=Partition((3, 3, 1)), index=7, delta=-2),
+        # in-corner row 2 of 3,2,1: its constant 0 becomes -1, which is row
+        # 3's plus 1, so g and g(x+1) share the factor, but a removal does not
+        Fault(kind="g-factor", partition=Partition((3, 2, 1)), index=2, delta=-1),
     ],
-    ids=["clean", "hook", "head-index", "4,1-index-3", "5-index-5", "3,3,1-index-7"],
+    ids=["clean", "hook", "head-index", "4,1-index-3", "5-index-5", "3,3,1-index-7",
+         "in-corner-meets-next-row"],
 )
 def test_reduced_context_times_tail_is_the_full_g(fault):
-    # the context holds g, g(x+1) and each g_mu divided by the shared tail
-    # T; multiplied back, each is the (faulted) product of its n factors
+    # the context holds g, g(x+1) and each g_mu divided by their common
+    # factor F, which generalises the tail prod (x - j) past the last row;
+    # multiplied back, each is the (faulted) product of its factors
     for n in range(1, 13):
         ws = Workspace(fault)
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
             g = _faulted_g(lam, fault)
-            assert ctx.times_tail(ctx.g) == g, lam
-            assert ctx.times_tail(ctx.g_next) == g.shift(1), lam
+            assert _full(ctx, ctx.g) == g, lam
+            assert _full(ctx, ctx.g_next) == g.shift(1), lam
             mus = ctx.corners.removal_list
-            assert tuple(map(ctx.times_tail, ctx.mu_g)) == tuple(_faulted_g(mu, fault) for mu in mus)
-            tail = ctx.times_tail(ONE)
-            assert [ctx.tail_at(k) for k in range(-2, n + 2)] == [tail(k) for k in range(-2, n + 2)]
-            if fault is None:
-                # unfaulted, T cancels every factor (x - j) past the last row
-                assert ctx.head == len(lam), lam
+            assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(_faulted_g(mu, fault) for mu in mus)
+            assert len(ctx.common) + ctx.g.degree == n, lam
+
+
+def test_unfaulted_reduced_degrees():
+    # unfaulted, F takes every index of 1..n-1 but the in-corner rows: k + 1
+    # factors stay in g and in g(x+1), and k in each g_mu, for k in-corner
+    # rows.  Row n of 1^n is its one in-corner but lies outside 1..n-1, so
+    # there F takes all n-1 indices and leaves (x + 1 - n), x + 1 and 1.
+    for n in range(1, 13):
+        ws = Workspace()
+        for lam in enumerate_partitions(n):
+            ctx = ws.context(lam)
+            k = len(ctx.corners.in_corners)
+            if lam == (1,) * n:
+                assert (ctx.g, ctx.g_next) == (linear(1 - n), linear(1)), lam
+                assert ctx.mu_g == (ONE,), lam
+                continue
+            assert (ctx.g.degree, ctx.g_next.degree) == (k + 1, k + 1), lam
+            assert [g_mu.degree for g_mu in ctx.mu_g] == [k] * k, lam
+            in_rows = set(ctx.corners.in_corners)
+            assert ctx.common == [lam.part(i) - i for i in range(1, n) if i not in in_rows], lam
+    # one row: g = (x + 6)(x - 2)...(x - 7), and F = (x - 2)...(x - 6) leaves
+    # (x + 6)(x - 7) of g, (x + 7)(x - 1) of g(x+1) and x + 5 of g_mu
+    ctx = Workspace().context(Partition((7,)))
+    assert ctx.common == [-2, -3, -4, -5, -6]
+    assert ctx.g == linear(6) * linear(-7)
+    assert ctx.g_next == linear(7) * linear(-1)
+    assert ctx.mu_g == (linear(5),)

@@ -15,12 +15,11 @@ from hookshift import (
     parse_partition,
     syt_count,
 )
-from hookshift.partitions import Cell, single_box_additions
+from hookshift.partitions import Cell, partition_count, single_box_additions
 from oracles import (
     conjugate_by_cells,
     hook_by_box_count,
     partitions_bruteforce,
-    pentagonal_counts,
     syt_count_bruteforce,
 )
 from strategies import partitions
@@ -106,9 +105,17 @@ def test_enumeration_counts():
 
 
 def test_enumeration_matches_pentagonal_recurrence():
-    expected = pentagonal_counts(18)
     for n in range(19):
-        assert sum(1 for _ in enumerate_partitions(n)) == expected[n]
+        assert sum(1 for _ in enumerate_partitions(n)) == partition_count(n)
+
+
+def test_partition_count():
+    assert [partition_count(n) for n in range(11)] == [1, 1, 2, 3, 5, 7, 11, 15, 22, 30, 42]
+    assert [partition_count(n) for n in range(13)] == [
+        sum(1 for _ in partitions_bruteforce(n)) for n in range(13)
+    ]
+    assert partition_count(25) == 1958
+    assert partition_count(100) == 190569292
 
 
 def test_enumeration_order_reverse_lexicographic():
@@ -282,23 +289,27 @@ def test_removal_then_addition_round_trip(lam):
 # --- conjugation ------------------------------------------------------------
 
 def test_conjugate_examples():
-    assert Partition().conjugate() == ()
-    assert Partition((2, 1)).conjugate() == (2, 1)
-    assert Partition((5, 5, 3, 3, 1)).conjugate() == (5, 4, 4, 2, 2)
+    assert conjugate_by_cells(Partition()) == ()
+    assert conjugate_by_cells(Partition((2, 1))) == (2, 1)
+    assert conjugate_by_cells(Partition((5, 5, 3, 3, 1))) == (5, 4, 4, 2, 2)
 
 
 @given(partitions())
 def test_conjugate_involution(lam):
-    assert lam.conjugate().conjugate() == lam
-    assert lam.conjugate() == conjugate_by_cells(lam)
+    conj = conjugate_by_cells(lam)
+    assert conjugate_by_cells(conj) == lam
+    # box (i, j) has arm part(i) - j and leg conj(j) - i
+    for i, row in enumerate(hook_lengths(lam), 1):
+        assert row == [lam.part(i) - j + conj.part(j) - i + 1 for j in range(1, len(row) + 1)]
 
 
 @given(partitions())
 def test_conjugate_preserves_hook_multiset(lam):
+    conj = conjugate_by_cells(lam)
     mine = sorted(h for row in hook_lengths(lam) for h in row)
-    theirs = sorted(h for row in hook_lengths(lam.conjugate()) for h in row)
+    theirs = sorted(h for row in hook_lengths(conj) for h in row)
     assert mine == theirs
-    assert hook_product(lam) == hook_product(lam.conjugate())
+    assert hook_product(lam) == hook_product(conj)
 
 
 # --- the cleared reciprocal-hook recurrence ---------------------------------
