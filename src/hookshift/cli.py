@@ -166,6 +166,10 @@ def _cmd_sweep(args) -> int:
     jobs = args.jobs
     if jobs != "auto" and not (jobs.isdigit() and int(jobs) > 0):
         raise ValueError(f"bad --jobs value {jobs!r}: expected 'auto' or a positive integer")
+    for option, value in (("--max-n", args.max_n), ("--max-n-schur", args.max_n_schur),
+                          ("--max-n-oracle", args.max_n_oracle)):  # before the clamp
+        if value < 1:
+            raise ValueError(f"bad {option} value {value}: expected a positive integer")
     config = SweepConfig(
         max_n_identities=args.max_n,
         max_n_theorem_1_2=args.max_n_schur,

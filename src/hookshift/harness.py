@@ -5,18 +5,18 @@ The work unit is one size n over all selected identities: a worker
 enumerates the partitions of n once and runs every identity on each,
 through one Workspace that builds each partition's data once and is
 dropped with the unit.  Only bounds and the fault cross process
-boundaries, and a unit returns one row per identity.  Schur-identity
-checks run as one unit per degree: Schur-basis equality, the two
-recurrences, and an oracle that evaluates both sides at one point.
-Results are merged by a deterministic sort, which makes report contents
-independent of worker count and completion order.  Wall-clock time and
-the worker count live in a separate "timing" object excluded from the
-determinism guarantee.
+boundaries, and a unit returns one row per identity.  The Schur
+identity is one more unit, a single pass over its degrees that builds
+each degree's two sides once and returns one row per degree: Schur-basis
+equality, the two recurrences, and an oracle that evaluates both sides
+at one point.  Results are merged by a deterministic sort, which makes
+report contents independent of worker count and completion order.
+Wall-clock time and the worker count live in a separate "timing" object
+excluded from the determinism guarantee.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import os
 import time
@@ -25,7 +25,7 @@ from dataclasses import dataclass, field
 
 from .identities import Fault, IdentityId, VerificationOutcome, Workspace, verdicts
 from .partitions import enumerate_partitions, partition_count
-from .schur import check_at_point, check_schur_recurrences, check_theorem_1_2, schur_sides
+from .schur import check_at_point, check_schur_recurrences, check_theorem_1_2, schur_lhs, schur_rhs
 
 CATALOG = tuple(IdentityId)
 _FORMATS = ("json", "csv", "text")
@@ -176,26 +176,30 @@ def _identity_unit(
     return rows
 
 
-def _theorem_unit(n: int, max_n_oracles: int) -> list[dict]:
-    # the three checks share one build of each side at each degree
-    sides = functools.cache(schur_sides)
-    row: dict = {"n": n}
-    for key, check in (("equality", check_theorem_1_2), ("recurrences", check_schur_recurrences)):
-        if key == "recurrences" and n == 0:
-            row[key] = None  # the recurrences start at degree 1
-            continue
-        witness = check(n, sides=sides)
-        row[key] = "pass" if witness is None else "fail"
-        if witness is not None:
-            row[f"{key}_witness"] = witness
-    if n <= max_n_oracles:
-        # A spot check at one point.  It reads the term maps only through
-        # their values there, so it can be the only failing check of a
-        # degree: two sides wrong the same way pass the other two.
-        row["oracle"] = "pass" if check_at_point(n, sides=sides) else "fail"
-    else:
-        row["oracle"] = None
-    return [row]
+def _theorem_unit(max_n: int, max_n_oracles: int) -> list[dict]:
+    # each degree's two sides serve its three checks and the next degree's recurrences
+    rows, prev = [], None
+    for n in range(max_n + 1):
+        sides = schur_lhs(n), schur_rhs(n)
+        # a correct right side has p(n) terms, as every g(x+n)/H is nonzero
+        if len(sides[1]) != partition_count(n):
+            raise RuntimeError(f"schur_rhs({n}) has {len(sides[1])} terms, not p({n}) = {partition_count(n)}")
+        row = {"n": n, **_verdict("equality", check_theorem_1_2(n, sides))}
+        if prev is None:
+            row["recurrences"] = None  # the recurrences start at degree 1
+        else:
+            row.update(_verdict("recurrences", check_schur_recurrences(n, sides, prev)))
+        # A spot check at one point, through the term maps' values only: the
+        # one check that fails when both sides are wrong the same way.
+        row["oracle"] = None if n > max_n_oracles else "pass" if check_at_point(n, sides) else "fail"
+        rows.append(row)
+        prev = sides
+    return rows
+
+
+def _verdict(key: str, witness: dict | None) -> dict:
+    """A check's status under ``key``, followed by its witness if it failed."""
+    return {key: "pass"} if witness is None else {key: "fail", f"{key}_witness": witness}
 
 
 def _statuses(row: dict) -> list[str]:
@@ -212,8 +216,8 @@ def _task_failed(row: dict) -> bool:
 def _completed(units: list[tuple], workers: int):
     """Yield each unit's rows as the unit finishes; closing the generator
     cancels the units that have not started.  A pool takes the units in
-    reverse order, so the largest sizes start first and the small ones
-    fill in around them."""
+    reverse order, so the Schur pass, which run_sweep appends last, and
+    the largest sizes start first and the small ones fill in around them."""
     if workers == 1:
         for fn, *args in units:
             yield fn(*args)
@@ -235,17 +239,14 @@ def run_sweep(config: SweepConfig) -> SweepReport:
     Verification failures are data in the report, not errors.  With
     fail_fast, outstanding work is cancelled after the first failing work
     unit, so such a report covers only the units that finished: whole
-    sizes of the identity sweep, and whole Schur degrees.
+    sizes of the identity sweep, and all Schur degrees or none.
     """
     start = time.perf_counter()
     units: list[tuple] = [
         (_identity_unit, n, config.identities, config.fault, config.capture_witnesses)
         for n in range(1, config.max_n_identities + 1)
     ]
-    units += [
-        (_theorem_unit, n, config.max_n_oracles)
-        for n in range(config.max_n_theorem_1_2 + 1)
-    ]
+    units.append((_theorem_unit, config.max_n_theorem_1_2, config.max_n_oracles))
     rows: list[dict] = []
     with closing(_completed(units, config.workers())) as results:
         for unit_rows in results:
@@ -258,9 +259,8 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         (r for r in rows if "identity" in r),
         key=lambda r: (order[r["identity"]], r["n"]),
     )
-    theorem_rows = sorted(
-        (r for r in rows if "identity" not in r), key=lambda r: r["n"]
-    )
+    # the one Schur unit returns its rows in degree order
+    theorem_rows = [r for r in rows if "identity" not in r]
     return SweepReport(
         config=config,
         identity_rows=identity_rows,

@@ -144,31 +144,26 @@ def schur_rhs(n: int) -> SchurExpansion:
     )
 
 
-def schur_sides(n: int) -> tuple[SchurExpansion, SchurExpansion]:
-    """Both sides of the main identity at degree n, left first."""
-    return schur_lhs(n), schur_rhs(n)
-
-
-def check_theorem_1_2(n: int, sides=schur_sides) -> dict | None:
-    """Structural Schur-basis equality of the two sides at degree n: None,
-    or a failure's witness, both sides as JSON text under "lhs" and "rhs".
+def check_theorem_1_2(n: int, sides: tuple) -> dict | None:
+    """Structural Schur-basis equality of the two sides of degree n, left
+    first: None, or a failure's witness, both sides as JSON text under
+    "lhs" and "rhs".  n is read only as the sides' degree; it stays first
+    in all three Schur checks so that a call can be keyed by it.
 
     Schur functions are linearly independent, so coefficient-map equality
-    is the correct notion of symmetric-function equality here.  ``sides``
-    builds both sides of a degree, as ``schur_sides`` does; this and the
-    other two Schur checks take it so that one unit can share one build.
+    is the correct notion of symmetric-function equality here.
     """
     if n < 0:
         raise ValueError(f"n = {n} is negative")
-    lhs, rhs = sides(n)
+    lhs, rhs = sides
     if lhs == rhs:
         return None
     return {"lhs": json.dumps(lhs.serialize()), "rhs": json.dumps(rhs.serialize())}
 
 
-def check_schur_recurrences(n: int, sides=schur_sides) -> dict | None:
+def check_schur_recurrences(n: int, sides: tuple, prev: tuple) -> dict | None:
     """Both one-step recurrences at degree n: each side of the main identity
-    equals its own x -> x-1 substitution plus p1 times the previous degree.
+    equals its own x -> x-1 substitution plus p1 times that side in prev.
 
     Substitution acts coefficient-wise through polynomial shift by -1.  A
     failure's witness, shaped as check_theorem_1_2's, is the first failing
@@ -176,9 +171,9 @@ def check_schur_recurrences(n: int, sides=schur_sides) -> dict | None:
     """
     if n < 1:
         raise ValueError(f"n = {n}: the recurrences start at degree 1")
-    (lhs, rhs), (prev_lhs, prev_rhs) = sides(n), sides(n - 1)
-    for label, cur, prev in (("rhs", rhs, prev_rhs), ("lhs", lhs, prev_lhs)):
-        expect = cur.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(prev)
+    (lhs, rhs), (prev_lhs, prev_rhs) = sides, prev
+    for label, cur, before in (("rhs", rhs, prev_rhs), ("lhs", lhs, prev_lhs)):
+        expect = cur.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(before)
         if cur != expect:
             return {
                 "lhs": json.dumps({"side": label, "value": cur.serialize()}),
@@ -220,7 +215,7 @@ def schur_value(lam: Partition, xs: tuple[int, ...]) -> int:
     return num // vandermonde
 
 
-def check_at_point(n: int, sides=schur_sides) -> bool:
+def check_at_point(n: int, sides: tuple) -> bool:
     """Evaluate the main identity at x = ORACLE_X0 and the variables
     1, ..., n, and report whether both Schur sides equal the direct value.
 
@@ -239,5 +234,5 @@ def check_at_point(n: int, sides=schur_sides) -> bool:
     direct = sum(rising_binomial(k)(ORACLE_X0) * p1**k * e[k] for k in range(n + 1))
     return all(
         sum(c(ORACLE_X0) * schur_value(lam, xs) for lam, c in side.terms.items()) == direct
-        for side in sides(n)
+        for side in sides
     )

@@ -61,10 +61,13 @@ def test_a01_difference_identity_exhaustive_to_25():
 
 
 def test_a02_schur_identity_and_recurrences():
+    prev = None
     for n in range(10):
-        assert check_theorem_1_2(n) is None, n
-    for n in range(1, 10):
-        assert check_schur_recurrences(n) is None, n
+        sides = schur_lhs(n), schur_rhs(n)
+        assert check_theorem_1_2(n, sides) is None, n
+        if prev is not None:
+            assert check_schur_recurrences(n, sides, prev) is None, n
+        prev = sides
     print("[A2] PASS Schur-basis identity and both recurrences for n <= 9")
 
 

@@ -6,6 +6,7 @@ import pytest
 import hookshift.cli as cli
 import hookshift.harness as harness
 import hookshift.identities as identities
+import hookshift.schur as schur
 from hookshift import Fault, IdentityId, Partition
 from hookshift.harness import SweepConfig, run_sweep
 
@@ -158,6 +159,14 @@ def test_sweep_rejects_bad_jobs(jobs, capsys):
     assert err == f"error: bad --jobs value {jobs!r}: expected 'auto' or a positive integer\n"
 
 
+@pytest.mark.parametrize("value", ["0", "-1"])
+@pytest.mark.parametrize("option", ["--max-n", "--max-n-schur", "--max-n-oracle"])
+def test_sweep_rejects_bad_bounds(option, value, capsys):
+    code, out, err = run_cli(capsys, "sweep", "--jobs", "1", option, value)
+    assert (code, out) == (2, "")
+    assert err == f"error: bad {option} value {value}: expected a positive integer\n"
+
+
 def test_sweep_rejects_empty_identity_selection(capsys):
     for selection in ("", ","):
         code, out, err = run_cli(capsys, "sweep", "--identities", selection, "--max-n", "3",
@@ -237,6 +246,22 @@ def test_sweep_proves_its_coverage(tamper, message, monkeypatch, capsys):
                              "--max-n-oracle", "1", "--jobs", "1")
     assert (code, out) == (3, "")
     assert err == f"error: sweep aborted: RuntimeError: {message}\n"
+
+
+def test_schur_pass_proves_its_coverage(monkeypatch, capsys):
+    # a correct right side has one term per partition of its degree, so a
+    # lost partition aborts the Schur pass
+    enumerate_partitions = schur.enumerate_partitions
+
+    def dropping(n):
+        parts = list(enumerate_partitions(n))
+        return iter(parts[:-1] if n == 3 else parts)
+
+    monkeypatch.setattr(schur, "enumerate_partitions", dropping)
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "2", "--max-n-schur", "4",
+                             "--max-n-oracle", "4", "--jobs", "1")
+    assert (code, out) == (3, "")
+    assert err == "error: sweep aborted: RuntimeError: schur_rhs(3) has 2 terms, not p(3) = 3\n"
 
 
 def test_sweep_exit_code_on_failure(monkeypatch, capsys):

@@ -18,6 +18,7 @@ from hookshift import (
 from hookshift.harness import (
     SweepConfig,
     _identity_unit,
+    _task_failed,
     _theorem_unit,
     render_report,
     run_sweep,
@@ -133,6 +134,21 @@ def test_report_bytes_are_pinned(case):
     body = run_sweep(SweepConfig(**config)).to_json()
     del body["timing"]
     assert hashlib.sha256(json.dumps(body, sort_keys=True).encode()).hexdigest() == digest
+
+
+def test_schur_failure_report_bytes_are_pinned(monkeypatch):
+    # sha256 of the rendered json report, timing zeroed, with the right
+    # side doubled at degree 3; the bytes hold the row key order and the
+    # witness text of a failing equality and two failing recurrences
+    rhs = schur.schur_rhs
+    for module in (schur, harness):
+        monkeypatch.setattr(module, "schur_rhs", lambda n: rhs(n).scale(2) if n == 3 else rhs(n))
+    report = run_sweep(SweepConfig(max_n_identities=4, max_n_theorem_1_2=4, max_n_oracles=4,
+                                   parallelism=1, capture_witnesses=True))
+    assert [row["n"] for row in report.theorem_rows if _task_failed(row)] == [3, 4]
+    report.wall_time = 0.0
+    digest = hashlib.sha256(render_report(report).encode()).hexdigest()
+    assert digest == "26340a649b301c6301dd3b26f57a313abe92d102b822578d21b74e04246ee9ed"
 
 
 @pytest.mark.parametrize("capture", [False, True], ids=["plain", "capture"])
@@ -278,9 +294,7 @@ def test_fault_sensitivity_matrix():
 
 
 def test_oracle_catches_term_maps_wrong_the_same_way(monkeypatch):
-    for n in range(9):
-        [row] = _theorem_unit(n, n)
-        assert row["oracle"] == "pass", n
+    assert [row["oracle"] for row in _theorem_unit(8, 8)] == ["pass"] * 9
     # both sides doubled: the Schur-basis comparison and the recurrences
     # still hold, and only the evaluation at a point sees the error
     rhs = schur.schur_rhs
@@ -290,15 +304,16 @@ def test_oracle_catches_term_maps_wrong_the_same_way(monkeypatch):
 
     for module in (schur, harness):
         for name in ("schur_lhs", "schur_rhs"):
-            monkeypatch.setattr(module, name, doubled, raising=False)
-    for n in range(9):
-        [row] = _theorem_unit(n, n)
+            monkeypatch.setattr(module, name, doubled)
+    rows = _theorem_unit(8, 8)
+    assert [row["n"] for row in rows] == list(range(9))
+    for n, row in enumerate(rows):
         assert row["equality"] == "pass", n
         assert row["recurrences"] == (None if n == 0 else "pass"), n
         assert row["oracle"] == "fail", n
 
 
-def test_schur_unit_builds_each_side_once_per_degree(monkeypatch):
+def test_sweep_builds_each_schur_side_once(monkeypatch):
     calls = Counter()
     for name in ("schur_lhs", "schur_rhs"):
         build = getattr(schur, name)
@@ -307,14 +322,30 @@ def test_schur_unit_builds_each_side_once_per_degree(monkeypatch):
             calls[name, m] += 1
             return build(m)
 
-        monkeypatch.setattr(schur, name, counted)
-    for n in range(9):
-        calls.clear()
-        [row] = _theorem_unit(n, 8)
-        assert row["equality"] == row["oracle"] == "pass", n
-        # the degree-n recurrences also read degree n - 1
-        degrees = (n - 1, n) if n else (0,)
-        assert calls == {(name, m): 1 for name in ("schur_lhs", "schur_rhs") for m in degrees}, n
+        for module in (schur, harness):
+            monkeypatch.setattr(module, name, counted)
+    rows = _theorem_unit(8, 8)
+    assert [row["n"] for row in rows] == list(range(9))
+    assert all(row["equality"] == row["oracle"] == "pass" for row in rows)
+    # each degree's sides also serve the next degree's recurrences
+    assert calls == {(name, m): 1 for name in ("schur_lhs", "schur_rhs") for m in range(9)}
+
+    # a sweep schedules the whole Schur pass as one unit, beside one unit
+    # per identity size
+    scheduled = []
+    completed = harness._completed
+
+    def recorded(units, workers):
+        scheduled.extend(units)
+        return completed(units, workers)
+
+    monkeypatch.setattr(harness, "_completed", recorded)
+    calls.clear()
+    report = run_sweep(small_config(max_n_theorem_1_2=5, max_n_oracles=5))
+    assert report.all_passed
+    assert len(scheduled) == 4 + 1
+    assert [row["n"] for row in report.theorem_rows] == list(range(6))
+    assert calls == {(name, m): 1 for name in ("schur_lhs", "schur_rhs") for m in range(6)}
 
 
 def test_fault_crosses_process_boundary():
@@ -324,10 +355,9 @@ def test_fault_crosses_process_boundary():
 
 
 def test_schur_failures_carry_witnesses(monkeypatch):
-    import hookshift.schur as schur
-
     rhs = schur.schur_rhs
-    monkeypatch.setattr(schur, "schur_rhs", lambda n: rhs(n).scale(2) if n == 3 else rhs(n))
+    for module in (schur, harness):
+        monkeypatch.setattr(module, "schur_rhs", lambda n: rhs(n).scale(2) if n == 3 else rhs(n))
     report = run_sweep(small_config(identities=(IdentityId.THM_1_1,), max_n_theorem_1_2=4))
     rows = {row["n"]: row for row in report.theorem_rows}
     assert [n for n, row in rows.items() if "fail" in row.values()] == [3, 4]

@@ -1,3 +1,4 @@
+import json
 from fractions import Fraction
 
 import pytest
@@ -142,11 +143,19 @@ def test_sides_agree_up_to_seven():
         assert schur_lhs(n) == schur_rhs(n), n
 
 
+def sides(n):
+    return schur_lhs(n), schur_rhs(n)
+
+
 def test_check_theorem_1_2():
     for n in range(8):
-        assert check_theorem_1_2(n) is None
+        assert check_theorem_1_2(n, sides(n)) is None
+    lhs, rhs = sides(2)
+    witness = check_theorem_1_2(2, (lhs, rhs.scale(2)))
+    assert witness == {"lhs": json.dumps(lhs.serialize()),
+                       "rhs": json.dumps(rhs.scale(2).serialize())}
     with pytest.raises(ValueError):
-        check_theorem_1_2(-1)
+        check_theorem_1_2(-1, (SchurExpansion(), SchurExpansion()))
 
 
 def test_recurrence_by_hand_at_degree_one():
@@ -158,9 +167,15 @@ def test_recurrence_by_hand_at_degree_one():
 
 def test_check_schur_recurrences():
     for n in range(1, 7):
-        assert check_schur_recurrences(n) is None
+        assert check_schur_recurrences(n, sides(n), sides(n - 1)) is None
+    # the previous degree's sides are read: a wrong one fails the check
+    lhs, rhs = sides(2)
+    witness = check_schur_recurrences(3, sides(3), (lhs, rhs.scale(2)))
+    assert json.loads(witness["lhs"])["side"] == json.loads(witness["rhs"])["side"] == "rhs"
+    witness = check_schur_recurrences(3, sides(3), (lhs.scale(2), rhs))
+    assert json.loads(witness["lhs"])["side"] == "lhs"
     with pytest.raises(ValueError):
-        check_schur_recurrences(0)
+        check_schur_recurrences(0, sides(0), sides(0))
 
 
 def test_rhs_coefficients_specialize_at_zero():
@@ -276,6 +291,9 @@ def test_monomial_value_small():
 
 def test_check_at_point():
     for n in range(10):
-        assert check_at_point(n), n
+        assert check_at_point(n, sides(n)), n
+    lhs, rhs = sides(4)
+    assert not check_at_point(4, (lhs, rhs.scale(2)))
+    assert not check_at_point(4, (lhs.scale(2), rhs))
     with pytest.raises(ValueError):
-        check_at_point(-1)
+        check_at_point(-1, (SchurExpansion(), SchurExpansion()))
