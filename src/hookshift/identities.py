@@ -14,6 +14,31 @@ removal's g, which each term of each side carries, so the comparison
 decides the same equality.  Each check returns the two sides it
 compares, and one table says how each identity reports them as
 witnesses: for failures, and for passes on request.
+
+The five polynomial identities compare their sides as integers: each
+side is held as its value at one power of two X (Kronecker
+substitution), and X is large enough that equal values mean equal
+polynomials.  With k in-corner rows, u unshared indices, and B at least
+2 plus the largest absolute constant of any factor involved, every side
+is a sum of at most max(k, 2) terms, each an integer of absolute value
+at most h * prod H_mu times at most u + k + 2 monic linear factors:
+
+    identity        terms per side    linear factors per term
+    THM_1_1         2 | k             u + 1
+    QUOTIENT_4_2    1 | 1             u + 2
+    THM_4_1         k | 2             u + k | u + k + 2
+    EQ_4_6          1 | 1             u + k + 2
+    THM_4_2         k | 2             k - 1 | k + 1
+
+A factor (x + a) has coefficients of absolute values summing to
+1 + |a| <= B, that sum (the l1 norm) is submultiplicative, and X is
+chosen above twice max(k, 2) * h * prod H_mu * B**(u + k + 2), so each
+side's l1 norm is below X / 2.  If two sides P != Q had P(X) == Q(X),
+the lowest nonzero coefficient d of P - Q, at x**j, would give
+0 == (P - Q)(X) == X**j * (d + X * r) for an integer r, so X would
+divide d; but 0 < |d| <= ||P - Q||_1 < X.  So comparing the two values
+decides the polynomial identity exactly; a report reads a side back as
+a polynomial from its balanced base-X digits.
 """
 
 from __future__ import annotations
@@ -21,8 +46,8 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import chain
 from math import comb, factorial, prod
-from operator import mul
 from typing import Optional, Union
 
 from .partitions import (
@@ -36,11 +61,7 @@ from .partitions import (
     hook_product,
     syt_count,
 )
-from .polynomials import (
-    ExactPolynomial,
-    product_of_linear_factors,
-    times_linear_factors,
-)
+from .polynomials import ExactPolynomial, product_of_linear_factors, times_linear_factors
 
 
 class IdentityId(enum.Enum):
@@ -184,17 +205,22 @@ class PartitionContext:
     of g's factors (x + c_i), fault substituted, and ``mu_constants``
     those of each corner removal's g, in in-corner row order, as ``mu_h``
     holds their hook products; ``mu_h_prod`` is the product of those, and
-    ``h`` is the hook product of ``lam``.  ``g``, ``g_next`` (g(x+1)) and
-    ``mu_g`` are held divided by their common factor F, the product of
-    (x + c_i) over ``common``: the c_i of each index i < n where g's i-th
-    factor is also g(x+1)'s (i+1)-th and every removal's i-th.  Unfaulted,
-    that is every row but the k in-corner rows, so about k + 1 factors
-    stay in g and g(x+1), and k in each removal's g.  ``in_prod`` and
-    ``out_prod`` are the products of (x + part(i) - i) over the in-corner
-    rows, whose constants are ``in_constants``, and of (x + part(i) - i + 1)
-    over the out-corner rows; ``corner_sum`` is the THM_4_1 / THM_4_2 left
-    side, the sum over in-corner rows of H/H_mu / (x + part(i) - i), cleared
-    by ``in_prod`` and ``mu_h_prod``.
+    ``h`` is the hook product of ``lam``.  The polynomials are held as
+    their values at the power of two ``x`` (the X of the module
+    docstring), from which ``decode`` reads them back.  ``g``, ``g_next``
+    (g(x+1)) and ``mu_g`` are held divided by their common factor F, the
+    product of (x + c_i) over ``common``: the c_i of each index i < n
+    where g's i-th factor is also g(x+1)'s (i+1)-th and every removal's
+    i-th.  Unfaulted, that is every row but the k in-corner rows, so
+    about k + 1 factors stay in g and g(x+1), and k in each removal's g.
+    ``in_prod`` and ``out_prod`` are the products of (x + part(i) - i)
+    over the in-corner rows, whose constants are ``in_constants``, and of
+    (x + part(i) - i + 1) over the out-corner rows; ``corner_sum`` is the
+    THM_4_1 / THM_4_2 left side, the sum over in-corner rows of
+    H/H_mu / (x + part(i) - i), cleared by ``in_prod`` and ``mu_h_prod``.
+    ``x`` is chosen so that every side the checks build from these
+    values has an l1 norm below x / 2, so equal values there are equal
+    polynomials.
     """
 
     lam: Partition
@@ -204,15 +230,31 @@ class PartitionContext:
     in_constants: tuple[int, ...]
     common: list[int]
     h: int
-    g: ExactPolynomial
-    g_next: ExactPolynomial
+    x: int
+    g: int
+    g_next: int
     mu_h: tuple[int, ...]
     mu_constants: tuple[list[int], ...]
-    mu_g: tuple[ExactPolynomial, ...]
+    mu_g: tuple[int, ...]
     mu_h_prod: int
-    in_prod: ExactPolynomial
-    out_prod: ExactPolynomial
-    corner_sum: ExactPolynomial
+    in_prod: int
+    out_prod: int
+    corner_sum: int
+
+    def decode(self, value: int) -> ExactPolynomial:
+        """The polynomial whose value at ``x`` is ``value``, read off as
+        balanced base-``x`` digits, lowest first.  Exact for every value
+        whose polynomial has an l1 norm below x / 2."""
+        x = self.x
+        shift, half = x.bit_length() - 1, x >> 1
+        coeffs = []
+        while value:
+            digit = value & (x - 1)
+            if digit >= half:
+                digit -= x
+            coeffs.append(digit)
+            value = (value - digit) >> shift
+        return ExactPolynomial(coeffs)
 
 
 class Workspace:
@@ -256,6 +298,7 @@ class Workspace:
         n = lam.size
         corners = corner_sets(lam)
         in_constants = tuple(lam[i - 1] - i for i in corners.in_corners)
+        out_constants = [lam.part(i) - i + 1 for i in corners.out_corners]
         h, c = self._inputs(lam)
         mu_h, mu_c = zip(*map(self._removal, corners.removal_list))
         # index k + 1 is shared when its column, g's k-th constant (0-based),
@@ -264,17 +307,18 @@ class Workspace:
         unshared = [k for k, col in enumerate(zip(c, [b + 1 for b in c[1:]], *mu_c))
                 if col.count(col[0]) < m]
         big = prod(mu_h)
+        k = len(mu_h)
+        # X > 2 * max(k, 2) * h * big * B**(u + k + 2), the bound of the
+        # module docstring; B covers every constant compared, shifted by 1
+        bound = 2 + max(map(abs, chain(c, *mu_c, in_constants, out_constants, (n,))))
+        x = 1 << ((max(k, 2) * h * big).bit_length()
+                  + (len(unshared) + k + 3) * bound.bit_length() + 2)
         # corner_sum gains one term per in-corner row while in_prod gains
-        # that row's factor (x + a), which every earlier term also takes:
-        # s <- s (x + a) + w p and p <- p (x + a), in place, with s padded
-        # by one zero to p's length and u, q the old s[k-1], p[k-1]
-        p, s = [1], [0]
+        # that row's factor (x + a), which every earlier term also takes
+        p, s = 1, 0
         for a, h_mu in zip(in_constants, mu_h):
-            w, u, q = h * (big // h_mu), 0, 0
-            for k in range(len(p)):
-                u, q, s[k], p[k] = s[k], p[k], u + a * s[k] + w * p[k], q + a * p[k]
-            s.append(u)
-            p.append(q)
+            s = s * (x + a) + h * (big // h_mu) * p
+            p *= x + a
         return PartitionContext(
             lam,
             n,
@@ -283,29 +327,25 @@ class Workspace:
             in_constants,
             [c[k] for k in range(n - 1) if k not in unshared],
             h,
+            x,
             # g keeps its unshared factors and its last, (x + c_n); g(x+1)
             # keeps its first and the one after each unshared index
-            product_of_linear_factors([*(c[k] for k in unshared), c[-1]]),
-            product_of_linear_factors([c[0] + 1, *(c[k + 1] + 1 for k in unshared)]),
+            prod(map(x.__add__, [*(c[k] for k in unshared), c[-1]])),
+            prod(map(x.__add__, [c[0] + 1, *(c[k + 1] + 1 for k in unshared)])),
             mu_h,
             mu_c,
-            tuple(product_of_linear_factors([c_mu[k] for k in unshared]) for c_mu in mu_c),
+            tuple(prod(map(x.__add__, [c_mu[k] for k in unshared])) for c_mu in mu_c),
             big,
-            ExactPolynomial(p),
-            product_of_linear_factors(lam.part(i) - i + 1 for i in corners.out_corners),
-            ExactPolynomial(s[:-1]),
+            p,
+            prod(map(x.__add__, out_constants)),
+            s,
         )
 
 
 def _check_thm_1_1(ctx: PartitionContext):
     big = ctx.mu_h_prod
-    lhs = (ctx.g_next - ctx.g) * big
-    # every reduced g_mu has one factor per unshared index, so their
-    # coefficients line up
-    weights = [ctx.h * (big // h) for h in ctx.mu_h]
-    rhs = ExactPolynomial([sum(map(mul, weights, col))
-                           for col in zip(*(g_mu.coeffs for g_mu in ctx.mu_g))])
-    return [(None, lhs, rhs)]
+    rhs = sum(ctx.h * (big // h) * g_mu for h, g_mu in zip(ctx.mu_h, ctx.mu_g))
+    return [(None, (ctx.g_next - ctx.g) * big, rhs)]
 
 
 def _cleared_hook_sum(ctx: PartitionContext):
@@ -341,28 +381,23 @@ def _check_corner_ratio_2_2(ctx: PartitionContext):
 
 
 def _check_quotient_4_2(ctx: PartitionContext):
-    out = []
-    for i, c, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_g):
-        lhs = times_linear_factors(g_mu, (c, -ctx.n))
-        out.append((i, lhs, times_linear_factors(ctx.g, (c - 1,))))
-    return out
+    x, n = ctx.x, ctx.n
+    return [(i, g_mu * (x + c) * (x - n), ctx.g * (x + c - 1))
+            for i, c, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_g)]
 
 
 def _check_thm_4_1(ctx: PartitionContext):
-    diff = times_linear_factors(ctx.g, (0,)) - times_linear_factors(ctx.g_next, (-ctx.n,))
-    rhs = times_linear_factors(diff, ctx.in_constants) * ctx.mu_h_prod
+    x = ctx.x
+    rhs = (ctx.g * x - ctx.g_next * (x - ctx.n)) * ctx.in_prod * ctx.mu_h_prod
     return [(None, ctx.corner_sum * ctx.g, rhs)]
 
 
 def _check_eq_4_6(ctx: PartitionContext):
-    lhs = times_linear_factors(ctx.g_next, (-ctx.n, *ctx.in_constants))
-    rhs = times_linear_factors(ctx.g, [ctx.lam.part(i) - i + 1 for i in ctx.corners.out_corners])
-    return [(None, lhs, rhs)]
+    return [(None, ctx.g_next * (ctx.x - ctx.n) * ctx.in_prod, ctx.g * ctx.out_prod)]
 
 
 def _check_thm_4_2(ctx: PartitionContext):
-    numerator = times_linear_factors(ctx.in_prod, (0,)) - ctx.out_prod
-    return [(None, ctx.corner_sum, numerator * ctx.mu_h_prod)]
+    return [(None, ctx.corner_sum, (ctx.x * ctx.in_prod - ctx.out_prod) * ctx.mu_h_prod)]
 
 
 def _as_compared(ctx: PartitionContext, lhs, rhs):
@@ -370,8 +405,9 @@ def _as_compared(ctx: PartitionContext, lhs, rhs):
 
 
 def _times_common(ctx: PartitionContext, lhs, rhs):
-    # multiplied back by F, each side takes its full form
-    return times_linear_factors(lhs, ctx.common), times_linear_factors(rhs, ctx.common)
+    # read back and multiplied by F, each side takes its full form
+    return (times_linear_factors(ctx.decode(lhs), ctx.common),
+            times_linear_factors(ctx.decode(rhs), ctx.common))
 
 
 def _tableau_counts(ctx: PartitionContext, lhs, rhs):
@@ -387,7 +423,8 @@ def _hook_ratio_sum(ctx: PartitionContext, lhs, rhs):
 
 def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):
     # the right side becomes the bare quotient numerator
-    return lhs * Fraction(1, ctx.mu_h_prod), rhs * Fraction(1, ctx.mu_h_prod)
+    return (ctx.decode(lhs) * Fraction(1, ctx.mu_h_prod),
+            ctx.decode(rhs) * Fraction(1, ctx.mu_h_prod))
 
 
 # each identity's check, yielding (corner, lhs, rhs) with the sides as

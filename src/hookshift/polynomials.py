@@ -5,11 +5,13 @@ exact types; the two mix freely under Python arithmetic, so integer-only
 polynomials (the common case here) pay no normalization cost.  Floats are
 rejected outright.
 
-Every polynomial the identity checks build is a product of monic linear
-factors (x + c) times a few more, so ``times_linear_factors`` is the
-kernel under all of them: it updates one coefficient list in place, one
-pass per factor, and needs no trim of trailing zeros because a monic
-factor keeps the leading coefficient nonzero.
+Products of monic linear factors (x + c) are built by
+``times_linear_factors``, which updates one coefficient list in place,
+one pass per factor, and needs no trim of trailing zeros because a monic
+factor keeps the leading coefficient nonzero.  It builds ``g_poly``, the
+full sides that identity reports carry, and the Schur layer's
+coefficients; the identity checks themselves compare their sides as
+integer values (see ``hookshift.identities``).
 """
 
 from __future__ import annotations

@@ -109,6 +109,17 @@ def difference(p):
     return p.shift(1) - p
 
 
+def cleared_corner_sum(den, h, mu_h):
+    """The sum over in-corner rows of (H/H_mu) / (x + part(i) - i), cleared
+    by the product of the factors ``den`` and by the product of the H_mu,
+    built term by term."""
+    big = prod(mu_h)
+    return sum(
+        (prod(den[:k] + den[k + 1:], start=ONE) * (h * big // hm) for k, hm in enumerate(mu_h)),
+        start=ExactPolynomial(),
+    )
+
+
 def catalog_sides(identity, lam):
     """(corner, lhs, rhs) for each check of one identity at lam, with the
     sides in the form the library reports them, rebuilt from g_poly,
@@ -123,12 +134,7 @@ def catalog_sides(identity, lam):
     den = [linear(lam.part(i) - i) for i in corners.in_corners]
     in_prod = prod(den, start=ONE)
     out_prod = prod((linear(lam.part(i) - i + 1) for i in corners.out_corners), start=ONE)
-    # sum over in-corner rows of (H/H_mu) / (x + part(i) - i), cleared by
-    # in_prod and by the product of the H_mu
-    corner_sum = sum(
-        (prod(den[:k] + den[k + 1:], start=ONE) * (h * big // hm) for k, hm in enumerate(mu_h)),
-        start=ExactPolynomial(),
-    )
+    corner_sum = cleared_corner_sum(den, h, mu_h)
     if identity is IdentityId.THM_1_1:
         rhs = sum((g_poly(mu) * (h * big // hm) for mu, hm in zip(mus, mu_h)), start=ExactPolynomial())
         return [(None, difference(g) * big, rhs)]
@@ -285,3 +291,34 @@ def _monomial_p1_row(mu: tuple[int, ...]) -> dict[Partition, int]:
         if all(beta[i] >= beta[i + 1] for i in range(nvars - 1)):
             out[Partition(p for p in beta if p)] = c
     return out
+
+
+def full_polynomial_sides(identity, ctx):
+    """(corner, lhs, rhs) for each check of one of the five polynomial
+    identities at a context, as polynomials with no common factor
+    cancelled: built by plain polynomial multiplication from the
+    context's fault-substituted constants and hook products, with g(x+1)
+    by a shift.  THM_4_2 reads no g, so its sides are the hook-cleared
+    corner sum and quotient numerator."""
+    n, h, big = ctx.n, ctx.h, ctx.mu_h_prod
+    g = prod(map(linear, ctx.constants), start=ONE)
+    mu_g = [prod(map(linear, c), start=ONE) for c in ctx.mu_constants]
+    den = [linear(c) for c in ctx.in_constants]
+    in_prod = prod(den, start=ONE)
+    out_prod = prod((linear(ctx.lam.part(i) - i + 1) for i in ctx.corners.out_corners), start=ONE)
+    corner_sum = cleared_corner_sum(den, h, ctx.mu_h)
+    if identity is IdentityId.THM_1_1:
+        rhs = sum((g_mu * (h * big // hm) for g_mu, hm in zip(mu_g, ctx.mu_h)),
+                  start=ExactPolynomial())
+        return [(None, difference(g) * big, rhs)]
+    if identity is IdentityId.QUOTIENT_4_2:
+        return [
+            (i, g_mu * linear(c) * linear(-n), g * linear(c - 1))
+            for i, c, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, mu_g)
+        ]
+    if identity is IdentityId.THM_4_1:
+        return [(None, corner_sum * g, (X * g - linear(-n) * g.shift(1)) * in_prod * big)]
+    if identity is IdentityId.EQ_4_6:
+        return [(None, linear(-n) * g.shift(1) * in_prod, g * out_prod)]
+    assert identity is IdentityId.THM_4_2
+    return [(None, corner_sum, (X * in_prod - out_prod) * big)]

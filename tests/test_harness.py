@@ -122,6 +122,18 @@ PINNED_REPORTS = {
          "fault": Fault(kind="g-factor", partition=Partition((3, 3, 1)), index=7, delta=-2)},
         "36e00de1c077bdd36ebc391ae544341ef7a0a703e0f20c157be82af271f21594",
     ),
+    # taken from the code that compared coefficient lists: a fault of
+    # delta 10**6 puts large signed coefficients into the witnesses
+    "g-factor-fault-big-delta-n9": (
+        {"max_n_identities": 9,
+         "fault": Fault(kind="g-factor", partition=Partition((4, 2, 1)), index=3, delta=10**6)},
+        "54ba46fa12a6804938d675101bf48cd01195a8c4b4065e70cf30020548e9b528",
+    ),
+    "hook-fault-big-delta-n9": (
+        {"max_n_identities": 9,
+         "fault": Fault(kind="hook", partition=Partition((4, 2, 1)), row=1, col=2, delta=10**6)},
+        "efa25c6005600f2dbe4c4d0a610434aa4ba145e8193c292faf49f78df649c7cc",
+    ),
 }
 
 

@@ -17,7 +17,7 @@ from hookshift import (
     hook_product,
     syt_count,
 )
-from hookshift.identities import VerificationOutcome, shifted_part_constants
+from hookshift.identities import _CHECKERS, VerificationOutcome, shifted_part_constants
 from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
@@ -25,15 +25,24 @@ from hookshift.polynomials import (
     product_of_linear_factors,
     times_linear_factors,
 )
-from oracles import X, catalog_sides, corner_quotient_factors, difference, g_value_by_factors
+from oracles import (
+    X,
+    catalog_sides,
+    cleared_corner_sum,
+    corner_quotient_factors,
+    difference,
+    full_polynomial_sides,
+    g_value_by_factors,
+)
 from strategies import partitions
 
 LAM = Partition((5, 5, 3, 3, 1))
 
 
-def _full(ctx, p):
-    """A reduced polynomial of the context times the common factor F."""
-    return times_linear_factors(p, ctx.common)
+def _full(ctx, value):
+    """A reduced polynomial of the context, read back from its value,
+    times the common factor F."""
+    return times_linear_factors(ctx.decode(value), ctx.common)
 
 
 # --- the g-polynomial -------------------------------------------------------
@@ -66,14 +75,14 @@ def test_g_poly_monic_of_degree_n(lam):
 
 def test_g_quotient_factors_worked_example():
     ctx = Workspace().context(LAM)
-    assert ctx.out_prod == product_of_linear_factors([5, 1, -3, -5])
-    assert ctx.in_prod == product_of_linear_factors([3, -1, -4])
+    assert ctx.decode(ctx.out_prod) == product_of_linear_factors([5, 1, -3, -5])
+    assert ctx.decode(ctx.in_prod) == product_of_linear_factors([3, -1, -4])
 
 
 def test_g_quotient_factors_single_box():
     ctx = Workspace().context(Partition((1,)))
-    assert ctx.out_prod == linear(1) * linear(-1)
-    assert ctx.in_prod == X
+    assert ctx.decode(ctx.out_prod) == linear(1) * linear(-1)
+    assert ctx.decode(ctx.in_prod) == X
 
 
 def test_g_quotient_factors_rejects_empty():
@@ -87,8 +96,9 @@ def test_g_quotient_degrees():
         ws = Workspace()
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
-            assert ctx.out_prod.degree == ctx.in_prod.degree + 1
-            assert ctx.in_prod.degree == len(corner_sets(lam).in_corners)
+            in_prod, out_prod = ctx.decode(ctx.in_prod), ctx.decode(ctx.out_prod)
+            assert out_prod.degree == in_prod.degree + 1
+            assert in_prod.degree == len(corner_sets(lam).in_corners)
 
 
 def test_g_quotient_is_the_cancelled_quotient():
@@ -98,7 +108,7 @@ def test_g_quotient_is_the_cancelled_quotient():
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
             g = g_poly(lam)
-            assert linear(-n) * g.shift(1) * ctx.in_prod == g * ctx.out_prod
+            assert linear(-n) * g.shift(1) * ctx.decode(ctx.in_prod) == g * ctx.decode(ctx.out_prod)
 
 
 def test_corner_quotient_worked_example():
@@ -373,7 +383,7 @@ def test_hook_fault_changes_only_its_target():
     ws = Workspace(fault)
     ctx = ws.context(Partition((2, 1)))
     assert ctx.h == 4  # 3 bumped to 4, times 1, 1
-    assert ctx.g == g_poly(Partition((2, 1)))
+    assert ctx.decode(ctx.g) == g_poly(Partition((2, 1)))
     assert ws.context(Partition((2, 2))).h == hook_product(Partition((2, 2)))
     # the faulted value is what a larger partition reads for that removal
     ctx = ws.context(Partition((3, 1)))
@@ -384,10 +394,12 @@ def test_hook_fault_changes_only_its_target():
 def test_g_factor_fault_changes_only_its_target():
     fault = Fault(kind="g-factor", partition=Partition((1,)), index=1, delta=1)
     ws = Workspace(fault)
-    assert ws.context(Partition((1,))).g == linear(1)
-    assert ws.context(Partition((1,))).h == 1
-    assert ws.context(Partition((2,))).g == g_poly(Partition((2,)))
-    assert ws.context(Partition((2,))).mu_g == (linear(1),)
+    ctx = ws.context(Partition((1,)))
+    assert ctx.decode(ctx.g) == linear(1)
+    assert ctx.h == 1
+    ctx = ws.context(Partition((2,)))
+    assert ctx.decode(ctx.g) == g_poly(Partition((2,)))
+    assert tuple(map(ctx.decode, ctx.mu_g)) == (linear(1),)
 
 
 def test_hook_fault_breaks_the_difference_identity():
@@ -414,15 +426,9 @@ def test_unfaulted_workspace_matches_pure_functions():
             assert ctx.mu_h_prod == prod(hook_product(mu) for mu in mus)
             den = [linear(lam.part(i) - i) for i in ctx.corners.in_corners]
             num = [linear(lam.part(i) - i + 1) for i in ctx.corners.out_corners]
-            assert (ctx.in_prod, ctx.out_prod) == (prod(den, start=ONE), prod(num, start=ONE))
-            # sum over in-corner rows of (H/H_mu) / (x + part(i) - i), cleared
-            # by the product of those factors and by the product of the H_mu
-            corner_sum = sum(
-                (prod(den[:k] + den[k + 1:], start=ONE) * (ctx.h * ctx.mu_h_prod // h)
-                 for k, h in enumerate(ctx.mu_h)),
-                start=ExactPolynomial(),
-            )
-            assert ctx.corner_sum == corner_sum
+            assert (ctx.decode(ctx.in_prod), ctx.decode(ctx.out_prod)) == (
+                prod(den, start=ONE), prod(num, start=ONE))
+            assert ctx.decode(ctx.corner_sum) == cleared_corner_sum(den, ctx.h, ctx.mu_h)
 
 
 @pytest.mark.parametrize(
@@ -485,7 +491,7 @@ def test_reduced_context_times_tail_is_the_full_g(fault):
             assert _full(ctx, ctx.g_next) == g.shift(1), lam
             mus = ctx.corners.removal_list
             assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(_faulted_g(mu, fault) for mu in mus)
-            assert len(ctx.common) + ctx.g.degree == n, lam
+            assert len(ctx.common) + ctx.decode(ctx.g).degree == n, lam
 
 
 def test_unfaulted_reduced_degrees():
@@ -498,18 +504,64 @@ def test_unfaulted_reduced_degrees():
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
             k = len(ctx.corners.in_corners)
+            g, g_next = ctx.decode(ctx.g), ctx.decode(ctx.g_next)
+            mu_g = tuple(map(ctx.decode, ctx.mu_g))
             if lam == (1,) * n:
-                assert (ctx.g, ctx.g_next) == (linear(1 - n), linear(1)), lam
-                assert ctx.mu_g == (ONE,), lam
+                assert (g, g_next) == (linear(1 - n), linear(1)), lam
+                assert mu_g == (ONE,), lam
                 continue
-            assert (ctx.g.degree, ctx.g_next.degree) == (k + 1, k + 1), lam
-            assert [g_mu.degree for g_mu in ctx.mu_g] == [k] * k, lam
+            assert (g.degree, g_next.degree) == (k + 1, k + 1), lam
+            assert [g_mu.degree for g_mu in mu_g] == [k] * k, lam
             in_rows = set(ctx.corners.in_corners)
             assert ctx.common == [lam.part(i) - i for i in range(1, n) if i not in in_rows], lam
     # one row: g = (x + 6)(x - 2)...(x - 7), and F = (x - 2)...(x - 6) leaves
     # (x + 6)(x - 7) of g, (x + 7)(x - 1) of g(x+1) and x + 5 of g_mu
     ctx = Workspace().context(Partition((7,)))
     assert ctx.common == [-2, -3, -4, -5, -6]
-    assert ctx.g == linear(6) * linear(-7)
-    assert ctx.g_next == linear(7) * linear(-1)
-    assert ctx.mu_g == (linear(5),)
+    assert ctx.decode(ctx.g) == linear(6) * linear(-7)
+    assert ctx.decode(ctx.g_next) == linear(7) * linear(-1)
+    assert tuple(map(ctx.decode, ctx.mu_g)) == (linear(5),)
+
+
+# --- the polynomial identities, decided at one integer ---------------------
+
+def _kronecker_cases():
+    # every partition of size <= 10 unfaulted, then every fault on a
+    # partition of size m <= 5, with small and large deltas, over the
+    # partitions of sizes m and m + 1 (the two units that read it)
+    for n in range(1, 11):
+        ws = Workspace()
+        for lam in enumerate_partitions(n):
+            yield ws, lam
+    for m in range(1, 6):
+        for target in enumerate_partitions(m):
+            faults = [Fault(kind="hook", partition=target, row=r, col=c, delta=d)
+                      for r, length in enumerate(target, 1) for c in range(1, length + 1)
+                      for d in (1, 5, 10**6)]
+            faults += [Fault(kind="g-factor", partition=target, index=i, delta=d)
+                       for i in range(1, m + 1) for d in (1, -1, -7, 10**6)]
+            for fault in faults:
+                ws = Workspace(fault)
+                for lam in (*enumerate_partitions(m), *enumerate_partitions(m + 1)):
+                    yield ws, lam
+
+
+def test_values_at_x_decide_the_polynomial_identities():
+    # each compared value, read back and multiplied by F where the side
+    # carries g, is the side built in full by polynomial arithmetic, and
+    # its l1 norm stays below x / 2, so equal values are equal sides
+    carries_f = {IdentityId.THM_1_1: True, IdentityId.QUOTIENT_4_2: True,
+                 IdentityId.THM_4_1: True, IdentityId.EQ_4_6: True, IdentityId.THM_4_2: False}
+    for ws, lam in _kronecker_cases():
+        ctx = ws.context(lam)
+        for identity, full in carries_f.items():
+            check, _ = _CHECKERS[identity]
+            compared, expected = check(ctx), full_polynomial_sides(identity, ctx)
+            assert [c[0] for c in compared] == [e[0] for e in expected], (identity, lam)
+            for (_, *values), (corner, *sides) in zip(compared, expected):
+                where = (identity, lam, corner, ws.fault)
+                for value, side in zip(values, sides):
+                    p = ctx.decode(value)
+                    assert times_linear_factors(p, ctx.common if full else ()) == side, where
+                    assert 2 * sum(map(abs, p.coeffs)) < ctx.x, where
+                assert (values[0] == values[1]) == (sides[0] == sides[1]), where
