@@ -26,7 +26,7 @@ from .partitions import (
     parse_partition,
     syt_count,
 )
-from .polynomials import linear
+from .polynomials import ExactPolynomial
 from .schur import schur_lhs, schur_rhs
 
 
@@ -207,7 +207,7 @@ def _product_str(factors) -> str:
 
 def _linear_product_str(constants) -> str:
     """The product of the linear factors (x + c), one per constant."""
-    return _product_str(linear(c) for c in constants)
+    return _product_str(ExactPolynomial((c, 1)) for c in constants)
 
 
 def _cmd_example() -> int:

@@ -103,6 +103,7 @@ class SweepReport:
     identity_rows: list[dict] = field(default_factory=list)
     theorem_rows: list[dict] = field(default_factory=list)
     wall_time: float = 0.0
+    workers: int = 1
 
     def per_identity(self) -> dict[str, dict]:
         out: dict[str, dict] = {}
@@ -136,7 +137,7 @@ class SweepReport:
             "identities": self.per_identity(),
             "theorem_1_2": self.theorem_rows,
             "totals": self.totals(),
-            "timing": {"wall_seconds": self.wall_time, "workers": self.config.workers()},
+            "timing": {"wall_seconds": self.wall_time, "workers": self.workers},
         }
 
 
@@ -247,8 +248,10 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         for n in range(1, config.max_n_identities + 1)
     ]
     units.append((_theorem_unit, config.max_n_theorem_1_2, config.max_n_oracles))
+    # a pool forks all its workers at once, so it gets no more than units
+    workers = min(config.workers(), len(units))
     rows: list[dict] = []
-    with closing(_completed(units, config.workers())) as results:
+    with closing(_completed(units, workers)) as results:
         for unit_rows in results:
             rows += unit_rows
             if config.fail_fast and any(map(_task_failed, unit_rows)):
@@ -266,6 +269,7 @@ def run_sweep(config: SweepConfig) -> SweepReport:
         identity_rows=identity_rows,
         theorem_rows=theorem_rows,
         wall_time=time.perf_counter() - start,
+        workers=workers,
     )
 
 

@@ -5,6 +5,11 @@ exact types; the two mix freely under Python arithmetic, so integer-only
 polynomials (the common case here) pay no normalization cost.  Floats are
 rejected outright.
 
+``ExactPolynomial`` offers what the library runs: polynomial ``+`` and
+``-``, ``*`` by a scalar, ``shift``, exact evaluation, and serialization.
+There is no general product of two polynomials; the test suite keeps a
+schoolbook one as its reference, apart from the library's kernels.
+
 Products of monic linear factors (x + c) are built by
 ``times_linear_factors``, which updates one coefficient list in place,
 one pass per factor, and needs no trim of trailing zeros because a monic
@@ -40,7 +45,8 @@ def _make(coeffs: list) -> "ExactPolynomial":
 class ExactPolynomial:
     """Immutable polynomial; ``coeffs[k]`` is the coefficient of x**k.
 
-    The zero polynomial stores no coefficients and has degree ``None``.
+    The zero polynomial stores no coefficients.  Equal polynomials have
+    equal coefficient tuples; a polynomial never equals a number.
     """
 
     __slots__ = ("coeffs",)
@@ -54,36 +60,17 @@ class ExactPolynomial:
             cs.pop()
         self.coeffs = tuple(cs)
 
-    @property
-    def degree(self) -> int | None:
-        return len(self.coeffs) - 1 if self.coeffs else None
-
     def __bool__(self) -> bool:
         return bool(self.coeffs)
 
     def __eq__(self, other) -> bool:
-        if isinstance(other, ExactPolynomial):
-            return self.coeffs == other.coeffs
-        if isinstance(other, (int, Fraction)):
-            if not other:
-                return not self.coeffs
-            return len(self.coeffs) == 1 and self.coeffs[0] == other
-        return NotImplemented
-
-    def __hash__(self):
-        # constants hash like the number they equal
-        if len(self.coeffs) <= 1:
-            return hash(self.coeffs[0] if self.coeffs else 0)
-        return hash(self.coeffs)
-
-    def __neg__(self) -> "ExactPolynomial":
-        return _make([-c for c in self.coeffs])
-
-    def __add__(self, other) -> "ExactPolynomial":
         if not isinstance(other, ExactPolynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExactPolynomial((other,))
+            return NotImplemented
+        return self.coeffs == other.coeffs
+
+    def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
+        if not isinstance(other, ExactPolynomial):
+            return NotImplemented
         a, b = self.coeffs, other.coeffs
         if len(a) < len(b):
             a, b = b, a
@@ -92,41 +79,16 @@ class ExactPolynomial:
             out[i] += c
         return _make(out)
 
-    __radd__ = __add__
-
-    def __sub__(self, other) -> "ExactPolynomial":
+    def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         if not isinstance(other, ExactPolynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            other = ExactPolynomial((other,))
-        out = list(self.coeffs)
-        b = other.coeffs
-        if len(b) > len(out):
-            out.extend([0] * (len(b) - len(out)))
-        for i, c in enumerate(b):
-            out[i] -= c
-        return _make(out)
+            return NotImplemented
+        return self + other * -1
 
-    def __rsub__(self, other) -> "ExactPolynomial":
-        return (-self) + other
-
-    def __mul__(self, other) -> "ExactPolynomial":
-        if not isinstance(other, ExactPolynomial):
-            if not isinstance(other, (int, Fraction)):
-                return NotImplemented
-            # a nonzero scalar keeps every nonzero coefficient nonzero
-            return _wrap([c * other for c in self.coeffs] if other else [])
-        a, b = self.coeffs, other.coeffs
-        if not a or not b:
-            return _make([])
-        if len(a) < len(b):
-            a, b = b, a
-        out = [0] * (len(a) + len(b) - 1)
-        for j, y in enumerate(b):
-            if y:
-                for i, x in enumerate(a, j):
-                    out[i] += x * y
-        return _make(out)
+    def __mul__(self, other: Coeff) -> "ExactPolynomial":
+        if not isinstance(other, (int, Fraction)):
+            return NotImplemented
+        # a nonzero scalar keeps every nonzero coefficient nonzero
+        return _wrap([c * other for c in self.coeffs] if other else [])
 
     __rmul__ = __mul__
 
@@ -190,11 +152,6 @@ class ExactPolynomial:
 
 
 ONE = ExactPolynomial((1,))
-
-
-def linear(c: Coeff) -> ExactPolynomial:
-    """The monic linear polynomial x + c."""
-    return ExactPolynomial((c, 1))
 
 
 def product_of_linear_factors(constants: Iterable[Coeff]) -> ExactPolynomial:

@@ -1,7 +1,8 @@
 """Schur-basis symmetric function arithmetic with exact coefficients.
 
-Expansions are finite maps from partitions to coefficients in any exact
-commutative ring: int, Fraction, or ExactPolynomial all work.  The only
+Expansions are finite maps from partitions to exact coefficients that
+add, and scale by a number: int, Fraction, or ExactPolynomial all work.
+``scale`` multiplies integer coefficients by any of those.  The only
 product ever needed is multiplication by the first power sum, which the
 Pieri rule turns into pure bookkeeping on partitions, so Schur-basis
 equality of the two sides of the main symmetric-function identity is a
@@ -19,7 +20,7 @@ import json
 from fractions import Fraction
 from typing import Mapping
 
-from .identities import _serialize_witness, g_poly
+from .identities import _serialize_witness, shifted_part_constants
 from .partitions import (
     Partition,
     enumerate_partitions,
@@ -76,8 +77,6 @@ class SchurExpansion:
         return SchurExpansion(out)
 
     def scale(self, c) -> "SchurExpansion":
-        if not c:
-            return SchurExpansion()
         return SchurExpansion({lam: v * c for lam, v in self.terms.items()})
 
     def map_coefficients(self, fn) -> "SchurExpansion":
@@ -87,9 +86,6 @@ class SchurExpansion:
         if not isinstance(other, SchurExpansion):
             return NotImplemented
         return self.terms == other.terms
-
-    def __bool__(self) -> bool:
-        return bool(self.terms)
 
     def __len__(self) -> int:
         return len(self.terms)
@@ -133,12 +129,16 @@ def schur_lhs(n: int) -> SchurExpansion:
 
 
 def schur_rhs(n: int) -> SchurExpansion:
-    """Sum over partitions of n of g(x+n) / (hook product) times s_lam."""
+    """Sum over partitions of n of g(x+n) / (hook product) times s_lam.
+
+    g(x+n) is built from its factors (x + c + n), one per constant c of g.
+    """
     if n < 0:
         raise ValueError("n must be nonnegative")
     return SchurExpansion(
         {
-            lam: g_poly(lam).shift(n) * Fraction(1, hook_product(lam))
+            lam: product_of_linear_factors(c + n for c in shifted_part_constants(lam))
+            * Fraction(1, hook_product(lam))
             for lam in enumerate_partitions(n)
         }
     )

@@ -18,10 +18,31 @@ from hookshift.partitions import (
     enumerate_partitions,
     hook_product,
 )
-from hookshift.polynomials import ONE, ExactPolynomial, linear
+from hookshift.polynomials import ExactPolynomial
 from hookshift.schur import SchurExpansion
 
+
+def linear(c):
+    """The monic linear polynomial x + c."""
+    return ExactPolynomial((c, 1))
+
+
 X = linear(0)  # the polynomial x
+
+
+def mul(*factors):
+    """The product of polynomials by schoolbook convolution, the tests'
+    reference product: it shares no code with the library's linear-factor
+    kernel.  The empty product is 1."""
+    coeffs = [1]
+    for f in factors:
+        short, long = sorted((f.coeffs, coeffs), key=len)
+        out = [0] * (len(short) + len(long) - 1)
+        for j, b in enumerate(short):
+            for i, a in enumerate(long, j):
+                out[i] += a * b
+        coeffs = out
+    return ExactPolynomial(coeffs)
 
 
 def hook_by_box_count(lam, cell):
@@ -115,7 +136,7 @@ def cleared_corner_sum(den, h, mu_h):
     built term by term."""
     big = prod(mu_h)
     return sum(
-        (prod(den[:k] + den[k + 1:], start=ONE) * (h * big // hm) for k, hm in enumerate(mu_h)),
+        (mul(*den[:k], *den[k + 1:]) * (h * big // hm) for k, hm in enumerate(mu_h)),
         start=ExactPolynomial(),
     )
 
@@ -132,8 +153,8 @@ def catalog_sides(identity, lam):
     mu_h = [hook_product(mu) for mu in mus]
     big = prod(mu_h)
     den = [linear(lam.part(i) - i) for i in corners.in_corners]
-    in_prod = prod(den, start=ONE)
-    out_prod = prod((linear(lam.part(i) - i + 1) for i in corners.out_corners), start=ONE)
+    in_prod = mul(*den)
+    out_prod = mul(*(linear(lam.part(i) - i + 1) for i in corners.out_corners))
     corner_sum = cleared_corner_sum(den, h, mu_h)
     if identity is IdentityId.THM_1_1:
         rhs = sum((g_poly(mu) * (h * big // hm) for mu, hm in zip(mus, mu_h)), start=ExactPolynomial())
@@ -156,16 +177,18 @@ def catalog_sides(identity, lam):
         ]
     if identity is IdentityId.QUOTIENT_4_2:
         return [
-            (i, g_poly(mu) * linear(lam.part(i) - i) * linear(-n), g * linear(lam.part(i) - i - 1))
+            (i, mul(g_poly(mu), linear(lam.part(i) - i), linear(-n)),
+             mul(g, linear(lam.part(i) - i - 1)))
             for i, mu in zip(corners.in_corners, mus)
         ]
     if identity is IdentityId.THM_4_1:
-        return [(None, corner_sum * g, (X * g - linear(-n) * g.shift(1)) * in_prod * big)]
+        rhs = mul(mul(X, g) - mul(linear(-n), g.shift(1)), in_prod) * big
+        return [(None, mul(corner_sum, g), rhs)]
     if identity is IdentityId.EQ_4_6:
-        return [(None, linear(-n) * g.shift(1) * in_prod, g * out_prod)]
+        return [(None, mul(linear(-n), g.shift(1), in_prod), mul(g, out_prod))]
     if identity is IdentityId.THM_4_2:
         # the hook clearing divided back out
-        return [(None, corner_sum * Fraction(1, big), X * in_prod - out_prod)]
+        return [(None, corner_sum * Fraction(1, big), mul(X, in_prod) - out_prod)]
     assert identity is IdentityId.COR_4_4
     return [(None, sum(Fraction(h, hm) for hm in mu_h), n)]
 
@@ -301,11 +324,11 @@ def full_polynomial_sides(identity, ctx):
     by a shift.  THM_4_2 reads no g, so its sides are the hook-cleared
     corner sum and quotient numerator."""
     n, h, big = ctx.n, ctx.h, ctx.mu_h_prod
-    g = prod(map(linear, ctx.constants), start=ONE)
-    mu_g = [prod(map(linear, c), start=ONE) for c in ctx.mu_constants]
+    g = mul(*map(linear, ctx.constants))
+    mu_g = [mul(*map(linear, c)) for c in ctx.mu_constants]
     den = [linear(c) for c in ctx.in_constants]
-    in_prod = prod(den, start=ONE)
-    out_prod = prod((linear(ctx.lam.part(i) - i + 1) for i in ctx.corners.out_corners), start=ONE)
+    in_prod = mul(*den)
+    out_prod = mul(*(linear(ctx.lam.part(i) - i + 1) for i in ctx.corners.out_corners))
     corner_sum = cleared_corner_sum(den, h, ctx.mu_h)
     if identity is IdentityId.THM_1_1:
         rhs = sum((g_mu * (h * big // hm) for g_mu, hm in zip(mu_g, ctx.mu_h)),
@@ -313,12 +336,13 @@ def full_polynomial_sides(identity, ctx):
         return [(None, difference(g) * big, rhs)]
     if identity is IdentityId.QUOTIENT_4_2:
         return [
-            (i, g_mu * linear(c) * linear(-n), g * linear(c - 1))
+            (i, mul(g_mu, linear(c), linear(-n)), mul(g, linear(c - 1)))
             for i, c, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, mu_g)
         ]
     if identity is IdentityId.THM_4_1:
-        return [(None, corner_sum * g, (X * g - linear(-n) * g.shift(1)) * in_prod * big)]
+        rhs = mul(mul(X, g) - mul(linear(-n), g.shift(1)), in_prod) * big
+        return [(None, mul(corner_sum, g), rhs)]
     if identity is IdentityId.EQ_4_6:
-        return [(None, linear(-n) * g.shift(1) * in_prod, g * out_prod)]
+        return [(None, mul(linear(-n), g.shift(1), in_prod), mul(g, out_prod))]
     assert identity is IdentityId.THM_4_2
-    return [(None, corner_sum, (X * in_prod - out_prod) * big)]
+    return [(None, corner_sum, (mul(X, in_prod) - out_prod) * big)]

@@ -26,14 +26,14 @@ from hookshift import (
     syt_count,
 )
 from hookshift.partitions import partition_count
-from hookshift.polynomials import ExactPolynomial, linear
+from hookshift.polynomials import ExactPolynomial
 from hookshift.schur import (
     SchurExpansion,
     check_schur_recurrences,
     check_theorem_1_2,
     pieri_p1,
 )
-from oracles import corner_quotient_factors, syt_count_bruteforce, to_monomial
+from oracles import corner_quotient_factors, linear, syt_count_bruteforce, to_monomial
 
 LAM = Partition((5, 5, 3, 3, 1))
 

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import multiprocessing
 
@@ -111,6 +112,23 @@ def test_computation_output_is_reproducible(capsys):
         first = run_cli(capsys, *argv)
         second = run_cli(capsys, *argv)
         assert first == second
+
+
+# sha256 of stdout, taken from the code that still had the general
+# polynomial product, scalar arithmetic on polynomials and linear()
+PINNED_OUTPUTS = {
+    ("example-55331",): "e53827e9a9d03147a99c580ba3d9946e5c7bb346292eced0bc1bdc143b6592cd",
+    ("gpoly", "55331"): "342ba8084c6e373f583711a09ada91ca85233e3590598bc78c03ea52a33e5744",
+    ("schur-rhs", "4"): "8d49fd66b07b61d4d68145d4790b39fa72658867a94b22c62552920f2af2bdef",
+    ("schur-rhs", "6"): "bf034ad452573d02255c87a7afb4778c0aa97ce508f9dab272dccbe9d3358a9b",
+}
+
+
+@pytest.mark.parametrize("argv", PINNED_OUTPUTS, ids=" ".join)
+def test_output_bytes_are_pinned(argv, capsys):
+    code, out, _ = run_cli(capsys, *argv)
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == PINNED_OUTPUTS[argv]
 
 
 def test_sweep_json(capsys):

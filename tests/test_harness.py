@@ -360,6 +360,23 @@ def test_sweep_builds_each_schur_side_once(monkeypatch):
     assert calls == {(name, m): 1 for name in ("schur_lhs", "schur_rhs") for m in range(6)}
 
 
+def test_sweep_starts_no_more_workers_than_units(monkeypatch):
+    # a pool forks all its workers at the first submit, so the sweep caps
+    # the count at its units; the pool is replaced by one in-process worker
+    seen = []
+    completed = harness._completed
+
+    def recorded(units, workers):
+        seen.append((len(units), workers))
+        return completed(units, 1)
+
+    monkeypatch.setattr(harness, "_completed", recorded)
+    report = run_sweep(small_config(parallelism=10**6))
+    assert report.all_passed
+    assert seen == [(4 + 1, 4 + 1)]
+    assert report.to_json()["timing"]["workers"] == 4 + 1
+
+
 def test_fault_crosses_process_boundary():
     fault = Fault(kind="g-factor", partition=Partition((2, 1)), index=1, delta=1)
     report = run_sweep(small_config(fault=fault, parallelism=2))

@@ -1,8 +1,10 @@
 from fractions import Fraction
+from itertools import chain
 from math import factorial, prod
 
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hookshift import (
     Fault,
@@ -21,7 +23,6 @@ from hookshift.identities import _CHECKERS, VerificationOutcome, shifted_part_co
 from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
-    linear,
     product_of_linear_factors,
     times_linear_factors,
 )
@@ -33,6 +34,8 @@ from oracles import (
     difference,
     full_polynomial_sides,
     g_value_by_factors,
+    linear,
+    mul,
 )
 from strategies import partitions
 
@@ -50,14 +53,14 @@ def _full(ctx, value):
 def test_g_poly_small():
     assert g_poly(Partition()) == ONE
     assert g_poly(Partition((1,))) == X
-    assert g_poly(Partition((2, 1))) == linear(1) * linear(-1) * linear(-3)
+    assert g_poly(Partition((2, 1))) == mul(linear(1), linear(-1), linear(-3))
 
 
 def test_g_poly_runs_over_n_not_length():
     # the product has one factor per unit of size, not per row
     lam = Partition((3,))
     assert shifted_part_constants(lam) == [2, -2, -3]
-    assert g_poly(lam).degree == 3
+    assert len(g_poly(lam).coeffs) == 4  # degree 3
 
 
 @given(partitions(max_size=12))
@@ -66,7 +69,7 @@ def test_g_poly_monic_of_degree_n(lam):
     if lam.size == 0:
         assert g == ONE
     else:
-        assert g.degree == lam.size
+        assert len(g.coeffs) == lam.size + 1
         assert g.coeffs[-1] == 1
 
 
@@ -81,7 +84,7 @@ def test_g_quotient_factors_worked_example():
 
 def test_g_quotient_factors_single_box():
     ctx = Workspace().context(Partition((1,)))
-    assert ctx.decode(ctx.out_prod) == linear(1) * linear(-1)
+    assert ctx.decode(ctx.out_prod) == mul(linear(1), linear(-1))
     assert ctx.decode(ctx.in_prod) == X
 
 
@@ -97,8 +100,8 @@ def test_g_quotient_degrees():
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
             in_prod, out_prod = ctx.decode(ctx.in_prod), ctx.decode(ctx.out_prod)
-            assert out_prod.degree == in_prod.degree + 1
-            assert in_prod.degree == len(corner_sets(lam).in_corners)
+            assert len(out_prod.coeffs) == len(in_prod.coeffs) + 1
+            assert len(in_prod.coeffs) == len(corner_sets(lam).in_corners) + 1
 
 
 def test_g_quotient_is_the_cancelled_quotient():
@@ -108,7 +111,8 @@ def test_g_quotient_is_the_cancelled_quotient():
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
             g = g_poly(lam)
-            assert linear(-n) * g.shift(1) * ctx.decode(ctx.in_prod) == g * ctx.decode(ctx.out_prod)
+            lhs = mul(linear(-n), g.shift(1), ctx.decode(ctx.in_prod))
+            assert lhs == mul(g, ctx.decode(ctx.out_prod))
 
 
 def test_corner_quotient_worked_example():
@@ -129,8 +133,8 @@ def test_corner_quotient_is_the_cancelled_quotient():
             data = corner_sets(lam)
             for i in data.in_corners:
                 num, den = corner_quotient_factors(lam, i)
-                lhs = g_poly(lam).shift(1) * prod(den, start=ONE)
-                assert lhs == g_poly(data.removals[i]) * prod(num, start=ONE)
+                lhs = mul(g_poly(lam).shift(1), *den)
+                assert lhs == mul(g_poly(data.removals[i]), *num)
 
 
 def _thm_4_2_numerator(lam, ws):
@@ -147,7 +151,7 @@ def test_thm_4_2_numerator_degree_drops_twice():
         for lam in enumerate_partitions(n):
             t = len(corner_sets(lam).in_corners)
             numerator = _thm_4_2_numerator(lam, ws)
-            assert numerator.degree is None or numerator.degree <= t - 1, lam
+            assert len(numerator.coeffs) <= t, lam
 
 
 def test_route_bridge():
@@ -163,8 +167,9 @@ def test_route_bridge():
                 if i not in set(data.in_corners)
             )
             prod_in = product_of_linear_factors(lam.part(i) - i for i in data.in_corners)
-            assert X * g - linear(-n) * g.shift(1) == _thm_4_2_numerator(lam, ws) * rest
-            assert g == prod_in * rest
+            lhs = mul(X, g) - mul(linear(-n), g.shift(1))
+            assert lhs == mul(_thm_4_2_numerator(lam, ws), rest)
+            assert g == mul(prod_in, rest)
 
 
 # --- check_identity ----------------------------------------------------------
@@ -257,8 +262,8 @@ def test_corner_ratio_worked_example():
 def test_quotient_4_2_single_box():
     (outcome,) = check_identity(IdentityId.QUOTIENT_4_2, Partition((1,)), capture=True)
     assert outcome.passed
-    assert outcome.lhs == X * linear(-1)  # g_empty * (x+0) * (x-1)
-    assert outcome.rhs == X * linear(-1)
+    assert outcome.lhs == mul(X, linear(-1))  # g_empty * (x+0) * (x-1)
+    assert outcome.rhs == mul(X, linear(-1))
 
 
 def test_remark_dn_by_hand():
@@ -299,7 +304,7 @@ def test_iterated_difference_matches_binomial_sum_to_10():
             d = difference(d)
         (outcome,) = check_identity(IdentityId.REMARK_DN, lam, ws, capture=True)
         assert type(outcome.lhs) is int, lam
-        assert d == outcome.lhs == factorial(lam.size), lam
+        assert d.coeffs == (outcome.lhs,) == (factorial(lam.size),), lam
         assert outcome.passed == (ws.fault is not hook), lam
     ctx = Workspace(gfac).context(gfac.partition)
     assert _full(ctx, ctx.g) != g_poly(gfac.partition)
@@ -333,7 +338,7 @@ def test_top_two_coefficients_vanish_term_by_term():
         for lam in enumerate_partitions(n):
             g = g_poly(lam)
             dg = g.shift(1) - g
-            assert dg.degree == n - 1
+            assert len(dg.coeffs) == n
             assert dg.coeffs[n - 1] == n
             mus = corner_sets(lam).removal_list
             assert Fraction(n, hook_product(lam)) == sum(
@@ -426,8 +431,7 @@ def test_unfaulted_workspace_matches_pure_functions():
             assert ctx.mu_h_prod == prod(hook_product(mu) for mu in mus)
             den = [linear(lam.part(i) - i) for i in ctx.corners.in_corners]
             num = [linear(lam.part(i) - i + 1) for i in ctx.corners.out_corners]
-            assert (ctx.decode(ctx.in_prod), ctx.decode(ctx.out_prod)) == (
-                prod(den, start=ONE), prod(num, start=ONE))
+            assert (ctx.decode(ctx.in_prod), ctx.decode(ctx.out_prod)) == (mul(*den), mul(*num))
             assert ctx.decode(ctx.corner_sum) == cleared_corner_sum(den, ctx.h, ctx.mu_h)
 
 
@@ -491,7 +495,7 @@ def test_reduced_context_times_tail_is_the_full_g(fault):
             assert _full(ctx, ctx.g_next) == g.shift(1), lam
             mus = ctx.corners.removal_list
             assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(_faulted_g(mu, fault) for mu in mus)
-            assert len(ctx.common) + ctx.decode(ctx.g).degree == n, lam
+            assert len(ctx.common) + len(ctx.decode(ctx.g).coeffs) == n + 1, lam
 
 
 def test_unfaulted_reduced_degrees():
@@ -510,16 +514,16 @@ def test_unfaulted_reduced_degrees():
                 assert (g, g_next) == (linear(1 - n), linear(1)), lam
                 assert mu_g == (ONE,), lam
                 continue
-            assert (g.degree, g_next.degree) == (k + 1, k + 1), lam
-            assert [g_mu.degree for g_mu in mu_g] == [k] * k, lam
+            assert (len(g.coeffs), len(g_next.coeffs)) == (k + 2, k + 2), lam
+            assert [len(g_mu.coeffs) for g_mu in mu_g] == [k + 1] * k, lam
             in_rows = set(ctx.corners.in_corners)
             assert ctx.common == [lam.part(i) - i for i in range(1, n) if i not in in_rows], lam
     # one row: g = (x + 6)(x - 2)...(x - 7), and F = (x - 2)...(x - 6) leaves
     # (x + 6)(x - 7) of g, (x + 7)(x - 1) of g(x+1) and x + 5 of g_mu
     ctx = Workspace().context(Partition((7,)))
     assert ctx.common == [-2, -3, -4, -5, -6]
-    assert ctx.decode(ctx.g) == linear(6) * linear(-7)
-    assert ctx.decode(ctx.g_next) == linear(7) * linear(-1)
+    assert ctx.decode(ctx.g) == mul(linear(6), linear(-7))
+    assert ctx.decode(ctx.g_next) == mul(linear(7), linear(-1))
     assert tuple(map(ctx.decode, ctx.mu_g)) == (linear(5),)
 
 
@@ -546,22 +550,82 @@ def _kronecker_cases():
                     yield ws, lam
 
 
-def test_values_at_x_decide_the_polynomial_identities():
+def _assert_values_decide(ws, lam):
     # each compared value, read back and multiplied by F where the side
     # carries g, is the side built in full by polynomial arithmetic, and
     # its l1 norm stays below x / 2, so equal values are equal sides
     carries_f = {IdentityId.THM_1_1: True, IdentityId.QUOTIENT_4_2: True,
                  IdentityId.THM_4_1: True, IdentityId.EQ_4_6: True, IdentityId.THM_4_2: False}
+    ctx = ws.context(lam)
+    # x also clears the bound the identities docstring proves for every
+    # side such factors can build, which the sides met here need not reach
+    k, u = len(ctx.mu_h), ctx.n - 1 - len(ctx.common)
+    out_constants = [lam.part(i) - i + 1 for i in ctx.corners.out_corners]
+    b = 2 + max(map(abs, chain(ctx.constants, *ctx.mu_constants, ctx.in_constants,
+                               out_constants, (ctx.n,))))
+    assert ctx.x > 2 * max(k, 2) * ctx.h * ctx.mu_h_prod * b ** (u + k + 2), (lam, ws.fault)
+    for identity, full in carries_f.items():
+        check, _ = _CHECKERS[identity]
+        compared, expected = check(ctx), full_polynomial_sides(identity, ctx)
+        assert [c[0] for c in compared] == [e[0] for e in expected], (identity, lam)
+        for (_, *values), (corner, *sides) in zip(compared, expected):
+            where = (identity, lam, corner, ws.fault)
+            for value, side in zip(values, sides):
+                p = ctx.decode(value)
+                assert times_linear_factors(p, ctx.common if full else ()) == side, where
+                assert 2 * sum(map(abs, p.coeffs)) < ctx.x, where
+            assert (values[0] == values[1]) == (sides[0] == sides[1]), where
+
+
+def test_values_at_x_decide_the_polynomial_identities():
     for ws, lam in _kronecker_cases():
-        ctx = ws.context(lam)
-        for identity, full in carries_f.items():
-            check, _ = _CHECKERS[identity]
-            compared, expected = check(ctx), full_polynomial_sides(identity, ctx)
-            assert [c[0] for c in compared] == [e[0] for e in expected], (identity, lam)
-            for (_, *values), (corner, *sides) in zip(compared, expected):
-                where = (identity, lam, corner, ws.fault)
-                for value, side in zip(values, sides):
-                    p = ctx.decode(value)
-                    assert times_linear_factors(p, ctx.common if full else ()) == side, where
-                    assert 2 * sum(map(abs, p.coeffs)) < ctx.x, where
-                assert (values[0] == values[1]) == (sides[0] == sides[1]), where
+        _assert_values_decide(ws, lam)
+
+
+@st.composite
+def _large_cases(draw):
+    """A partition of size 26 to 60 in a workspace that is clean or holds
+    one fault, on the partition or on one of its corner removals."""
+    lam = draw(partitions(min_size=26, max_size=60))
+    kind = draw(st.sampled_from((None, "hook", "g-factor")))
+    if kind is None:
+        return Workspace(), lam
+    target = draw(st.sampled_from((lam, *corner_sets(lam).removal_list)))
+    if kind == "hook":
+        row = draw(st.integers(1, len(target)))
+        col = draw(st.integers(1, target[row - 1]))
+        delta = draw(st.integers(1, 10**6))
+        return Workspace(Fault(kind="hook", partition=target, row=row, col=col, delta=delta)), lam
+    index = draw(st.integers(1, target.size))
+    delta = draw(st.integers(-10**9, 10**9).filter(bool))
+    return Workspace(Fault(kind="g-factor", partition=target, index=index, delta=delta)), lam
+
+
+@settings(max_examples=50)
+@given(_large_cases())
+def test_values_at_x_decide_past_the_exhaustive_sizes(case):
+    # X grows with the hook products; the exhaustive test above stops at
+    # size 10, and faults at size 5
+    _assert_values_decide(*case)
+
+
+@given(partitions(min_size=1, max_size=12), st.data())
+def test_decode_reads_back_every_polynomial_below_the_bound(lam, data):
+    # random integer polynomials of l1 norm exactly x / 2 - 1
+    ctx = Workspace().context(lam)
+    norm = ctx.x // 2 - 1
+    cuts = sorted(data.draw(st.lists(st.integers(0, norm), max_size=6)))
+    sizes = [b - a for a, b in zip([0, *cuts], [*cuts, norm])]
+    signs = data.draw(st.lists(st.sampled_from((1, -1)), min_size=len(sizes), max_size=len(sizes)))
+    p = ExactPolynomial([sign * c for sign, c in zip(signs, sizes)])
+    assert sum(map(abs, p.coeffs)) == norm
+    assert ctx.decode(p(ctx.x)) == p
+
+
+def test_decode_bound_is_tight():
+    # at l1 norm x / 2 a balanced digit can no longer hold +x / 2
+    for lam in (Partition((1,)), LAM):
+        ctx = Workspace().context(lam)
+        half = ExactPolynomial((ctx.x // 2,))
+        assert ctx.decode(half(ctx.x)) != half
+        assert ctx.decode(-ctx.x // 2) == ExactPolynomial((-ctx.x // 2,))

@@ -7,20 +7,19 @@ from hypothesis import strategies as st
 from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
-    linear,
     product_of_linear_factors,
     rising_binomial,
     times_linear_factors,
 )
-from oracles import X, difference
+from oracles import X, difference, linear, mul
 from strategies import exact_coeffs, polynomials
 
 
 def test_degree_and_zero():
-    assert ExactPolynomial().degree is None
+    assert ExactPolynomial().coeffs == ()
     assert not ExactPolynomial()
-    assert ONE.degree == 0
-    assert X.degree == 1
+    assert len(ONE.coeffs) == 1
+    assert len(X.coeffs) == 2
     assert not X - X
     assert not ExactPolynomial((0, 0, 0))
     assert X
@@ -29,7 +28,6 @@ def test_degree_and_zero():
 def test_trailing_zeros_stripped():
     p = ExactPolynomial((1, 2, 0, 0))
     assert p.coeffs == (1, 2)
-    assert p.degree == 1
 
 
 def test_rejects_floats():
@@ -40,25 +38,31 @@ def test_rejects_floats():
 
 
 def test_basic_arithmetic():
-    assert X * X == ExactPolynomial((0, 0, 1))
-    assert (X + 1) - X == ONE
-    assert (X + 1) * (X - 1) == ExactPolynomial((-1, 0, 1))
+    assert linear(1) - X == ONE
+    assert X + ONE == linear(1)
+    assert linear(-1) - linear(1) == ExactPolynomial((-2,))
     assert 2 * X == ExactPolynomial((0, 2))
     assert X * Fraction(1, 2) == ExactPolynomial((0, Fraction(1, 2)))
+    assert X * 0 == ExactPolynomial()
+    # no general product: the tests build products with oracles.mul
+    with pytest.raises(TypeError):
+        X * X
+    with pytest.raises(TypeError):
+        X + 1
 
 
 def test_worked_quotient_numerator():
-    lhs = linear(-4) * linear(-1) * linear(3) * X
-    rhs = linear(-5) * linear(-3) * linear(1) * linear(5)
+    lhs = mul(linear(-4), linear(-1), linear(3), X)
+    rhs = mul(linear(-5), linear(-3), linear(1), linear(5))
     assert lhs - rhs == ExactPolynomial((-75, -38, 17))
     assert str(lhs - rhs) == "17x^2-38x-75"
     assert lhs - rhs
 
 
 def test_shift_examples():
-    assert X.shift(1) == X + 1
-    assert (X * X).shift(1) == ExactPolynomial((1, 2, 1))
-    g = linear(1) * linear(-1) * linear(-3)
+    assert X.shift(1) == linear(1)
+    assert ExactPolynomial((0, 0, 1)).shift(1) == ExactPolynomial((1, 2, 1))
+    g = mul(linear(1), linear(-1), linear(-3))
     assert g.shift(1) == product_of_linear_factors([2, 0, -2])
 
 
@@ -72,16 +76,16 @@ def test_eval():
 def test_difference_examples():
     assert difference(X) == ONE
     assert difference(ExactPolynomial((7,))) == ExactPolynomial()
-    assert difference(X * X) == ExactPolynomial((1, 2))
+    assert difference(ExactPolynomial((0, 0, 1))) == ExactPolynomial((1, 2))
 
 
 @given(polynomials())
 def test_difference_drops_degree_by_one(p):
     d = difference(p)
-    if p.degree is None or p.degree == 0:
+    if len(p.coeffs) <= 1:
         assert not d
     else:
-        assert d.degree == p.degree - 1
+        assert len(d.coeffs) == len(p.coeffs) - 1
 
 
 def test_rising_binomial_small():
@@ -112,17 +116,18 @@ def test_rising_binomial_integrality_at_integers():
 
 
 @given(polynomials(), polynomials(), polynomials())
-def test_ring_axioms(p, q, r):
+def test_addition_laws(p, q, r):
+    zero = ExactPolynomial()
     assert (p + q) + r == p + (q + r)
     assert p + q == q + p
-    assert (p * q) * r == p * (q * r)
-    assert p * q == q * p
-    assert p * (q + r) == p * q + p * r
+    assert p + zero == p
+    assert (p - q) + q == p
+    assert not p - p
 
 
 @given(polynomials(), polynomials(), exact_coeffs)
 def test_shift_is_a_ring_homomorphism(p, q, a):
-    assert (p * q).shift(a) == p.shift(a) * q.shift(a)
+    assert mul(p, q).shift(a) == mul(p.shift(a), q.shift(a))
     assert (p + q).shift(a) == p.shift(a) + q.shift(a)
 
 
@@ -136,14 +141,6 @@ def test_shift_agrees_with_evaluation(p, a, x):
     assert p.shift(a)(x) == p(x + a)
 
 
-@given(polynomials(), polynomials())
-def test_degree_of_product(p, q):
-    if not p or not q:
-        assert not p * q
-    else:
-        assert (p * q).degree == p.degree + q.degree
-
-
 def test_serialization_format():
     p = ExactPolynomial((-75, -38, 17))
     assert p.serialize() == [(2, "17/1"), (1, "-38/1"), (0, "-75/1")]
@@ -154,39 +151,15 @@ def test_serialization_format():
 def test_str_rendering():
     assert str(ExactPolynomial()) == "0"
     assert str(X) == "x"
-    assert str(-X) == "-x"
-    assert str(X - 1) == "x-1"
-    assert str(linear(1) * linear(-1) * linear(-3)) == "x^3-3x^2-x+3"
+    assert str(linear(-1)) == "x-1"
+    assert str(ExactPolynomial((0, -1))) == "-x"
+    assert str(mul(linear(1), linear(-1), linear(-3))) == "x^3-3x^2-x+3"
     assert str(rising_binomial(2)) == "(1/2)x^2+(1/2)x"
-
-
-def test_equality_with_scalars():
-    assert ExactPolynomial((Fraction(3, 1),)) == 3
-    assert ExactPolynomial() == 0
-    assert X != 0
-    assert hash(ExactPolynomial((3,))) == hash(3)
 
 
 def test_product_of_linear_factors_empty():
     assert product_of_linear_factors([]) == ONE
     assert product_of_linear_factors([5]) == linear(5)
-
-
-def _schoolbook(a: ExactPolynomial, b: ExactPolynomial) -> ExactPolynomial:
-    out = [0] * (len(a.coeffs) + len(b.coeffs))
-    for i, x in enumerate(a.coeffs):
-        for j, y in enumerate(b.coeffs):
-            out[i + j] += x * y
-    return ExactPolynomial(out)
-
-
-@given(polynomials(max_degree=8), exact_coeffs, exact_coeffs.filter(bool))
-def test_product_with_a_two_coefficient_operand(p, b0, b1):
-    # any linear factor: Fraction or zero constant term, leading term not 1
-    factor = ExactPolynomial((b0, b1))
-    expected = _schoolbook(p, factor)
-    assert p * factor == expected
-    assert factor * p == expected
 
 
 @given(
@@ -196,14 +169,12 @@ def test_product_with_a_two_coefficient_operand(p, b0, b1):
 def test_times_linear_factors_is_the_product(p, constants):
     # the schoolbook product over explicit (x + c) factors, so a wrong
     # kernel cannot agree with itself through product_of_linear_factors
-    expected = p
-    for c in constants:
-        expected = _schoolbook(expected, ExactPolynomial((c, 1)))
+    expected = mul(p, *map(linear, constants))
     got = times_linear_factors(p, constants)
     assert got == expected
     if p:
         assert got.coeffs[-1] != 0
-        assert got.degree == p.degree + len(constants)
+        assert len(got.coeffs) == len(p.coeffs) + len(constants)
     else:
         assert got.coeffs == ()
 
