@@ -27,7 +27,7 @@ from .partitions import (
     syt_count,
 )
 from .polynomials import ExactPolynomial
-from .schur import schur_lhs, schur_rhs
+from .schur import schur_lhs, schur_rhs, uncleared
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -103,11 +103,10 @@ def _dispatch(args) -> int:
     if cmd == "syt":
         print(syt_count(parse_partition(args.partition)))
         return 0
-    if cmd == "schur-lhs":
-        print(json.dumps(schur_lhs(args.n).serialize(), indent=2))
-        return 0
-    if cmd == "schur-rhs":
-        print(json.dumps(schur_rhs(args.n).serialize(), indent=2))
+    if cmd in ("schur-lhs", "schur-rhs"):
+        # the side as the paper states it, not cleared by n!
+        side = (schur_lhs if cmd == "schur-lhs" else schur_rhs)(args.n)
+        print(json.dumps(uncleared(side, args.n).serialize(), indent=2))
         return 0
     if cmd == "check":
         return _cmd_check(args)

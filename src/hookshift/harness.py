@@ -2,14 +2,14 @@
 bound, in parallel, and emit deterministic machine-readable reports.
 
 The work unit is one size n over all selected identities: a worker
-enumerates the partitions of n once and runs every identity on each,
-through one Workspace that builds each partition's data once and is
-dropped with the unit.  Only bounds and the fault cross process
+enumerates the partitions of n once and runs each distinct check on
+each, through one Workspace that builds each partition's data once and
+is dropped with the unit.  Only bounds and the fault cross process
 boundaries, and a unit returns one row per identity.  The Schur
 identity is one more unit, a single pass over its degrees that builds
-each degree's two sides once and returns one row per degree: Schur-basis
-equality, the two recurrences, and an oracle that evaluates both sides
-at one point.  Results are merged by a deterministic sort, which makes
+each degree's two sides once, cleared by n!, and returns one row per
+degree: Schur-basis equality, the two recurrences, and an oracle that
+evaluates both sides at one point.  Results are merged by a deterministic sort, which makes
 report contents independent of worker count and completion order.
 Wall-clock time and the worker count live in a separate "timing" object
 excluded from the determinism guarantee.
@@ -23,9 +23,16 @@ import time
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from .identities import Fault, IdentityId, VerificationOutcome, Workspace, verdicts
+from .identities import _CHECKERS, Fault, IdentityId, VerificationOutcome, Workspace, _compare
 from .partitions import enumerate_partitions, partition_count
-from .schur import check_at_point, check_schur_recurrences, check_theorem_1_2, schur_lhs, schur_rhs
+from .schur import (
+    check_at_point,
+    check_schur_recurrences,
+    check_theorem_1_2,
+    p1_e_table,
+    schur_lhs,
+    schur_rhs,
+)
 
 CATALOG = tuple(IdentityId)
 _FORMATS = ("json", "csv", "text")
@@ -145,10 +152,18 @@ def _identity_unit(
     n: int, identities: tuple[IdentityId, ...], fault: Fault | None, capture: bool
 ) -> list[dict]:
     ws = Workspace(fault)
-    rows = [
-        {"identity": i.value, "n": n, "checked": 0, "passed": 0, "failures": [], "witnesses": []}
-        for i in identities
-    ]
+    rows = []
+    # each distinct check runs once per context; REC_1_2, REC_1_3 and
+    # COR_4_4 share one, and each of its readers reports it its own way
+    readers_of: dict = {}
+    for identity in identities:
+        check, report = _CHECKERS[identity]
+        row = {"identity": identity.value, "n": n, "checked": 0, "passed": 0,
+               "failures": [], "witnesses": []}
+        rows.append(row)
+        readers_of.setdefault(check, []).append((identity.value, report, row))
+    plan = list(readers_of.items())
+    checked = [0] * len(plan)
     # the unit proves its own coverage: a strictly decreasing run of p(n)
     # partitions of n is every partition of n, each once
     lams = list(enumerate_partitions(n))
@@ -158,30 +173,34 @@ def _identity_unit(
         raise RuntimeError(f"enumerated {len(lams)} partitions of {n}, not p({n}) = {partition_count(n)}")
     for lam in lams:
         ctx = ws.context(lam)
-        for identity, row in zip(identities, rows):
-            batch = verdicts(identity, ctx, capture)
-            row["checked"] += len(batch)
-            for corner, ok, lhs, rhs in batch:
-                if ok:
-                    row["passed"] += 1
-                    if not capture:
-                        continue
-                entry = VerificationOutcome(
-                    identity.value, lam, corner, "pass" if ok else "fail", lhs, rhs
-                ).to_json()
-                if ok:
-                    row["witnesses"].append(entry)
-                else:
-                    del entry["status"]
-                    row["failures"].append(entry)
+        for k, (check, readers) in enumerate(plan):
+            results = check(ctx)
+            checked[k] += len(results)
+            for corner, ok, lhs, rhs in _compare(results, capture):
+                for value, report, row in readers:
+                    entry = VerificationOutcome(
+                        value, lam, corner, "pass" if ok else "fail", *report(ctx, lhs, rhs)
+                    ).to_json()
+                    if ok:
+                        row["witnesses"].append(entry)
+                    else:
+                        del entry["status"]
+                        row["failures"].append(entry)
+    # a check's results are its passes and its failures
+    for (_, readers), count in zip(plan, checked):
+        for _, _, row in readers:
+            row["checked"] = count
+            row["passed"] = count - len(row["failures"])
     return rows
 
 
 def _theorem_unit(max_n: int, max_n_oracles: int) -> list[dict]:
-    # each degree's two sides serve its three checks and the next degree's recurrences
-    rows, prev = [], None
+    # each degree's two sides serve its three checks and the next degree's
+    # recurrences, and its p1^k e_(n-k) table the next degree's left side
+    rows, prev, table = [], None, ()
     for n in range(max_n + 1):
-        sides = schur_lhs(n), schur_rhs(n)
+        table = p1_e_table(n, table)
+        sides = schur_lhs(n, table), schur_rhs(n)
         # a correct right side has p(n) terms, as every g(x+n)/H is nonzero
         if len(sides[1]) != partition_count(n):
             raise RuntimeError(f"schur_rhs({n}) has {len(sides[1])} terms, not p({n}) = {partition_count(n)}")
@@ -278,10 +297,38 @@ def render_report(report: SweepReport) -> str:
     bit-stable for identical reports."""
     fmt = report.config.output_format
     if fmt == "json":
-        return json.dumps(report.to_json(), indent=2)
+        return _json(report.to_json(), "")
     if fmt == "csv":
         return _render_csv(report)
     return _render_text(report)
+
+
+def _json(o, indent: str) -> str:
+    """o as json.dumps(o, indent=2) writes it.  json.dumps with an indent
+    takes the pure-Python encoder, whose closures are reference cycles
+    that each call leaves for the cyclic collector; this leaves none."""
+    t = type(o)
+    if t is str:
+        return json.encoder.encode_basestring_ascii(o)
+    if t is int:
+        return int.__repr__(o)
+    if t is float:
+        return float.__repr__(o)
+    if t is bool:
+        return "true" if o else "false"
+    if o is None:
+        return "null"
+    if not o:
+        return "{}" if t is dict else "[]"
+    inner = indent + "  "
+    if t is dict:
+        items = [f"{json.encoder.encode_basestring_ascii(k)}: {_json(v, inner)}"
+                 for k, v in o.items()]
+        opening, closing = "{", "}"
+    else:
+        items = [_json(v, inner) for v in o]
+        opening, closing = "[", "]"
+    return f"{opening}\n{inner}" + f",\n{inner}".join(items) + f"\n{indent}{closing}"
 
 
 def _render_csv(report: SweepReport) -> str:

@@ -149,7 +149,8 @@ class Fault:
 
     kind "hook" bumps the hook length of one cell of one partition before
     the hook product is taken; kind "g-factor" bumps the constant of one
-    linear factor of one partition's g-polynomial.  ``delta`` must be
+    linear factor of one partition's g-polynomial.  ``row``, ``col``,
+    ``index`` and ``delta`` must be ints (not bools), ``delta`` must be
     nonzero, and a hook fault must leave the hook length positive.
     """
 
@@ -164,6 +165,10 @@ class Fault:
         object.__setattr__(self, "partition", Partition(self.partition))
         if self.kind not in ("hook", "g-factor"):
             raise ValueError(f"unknown fault kind {self.kind!r}")
+        for name in ("row", "col", "index", "delta"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, int):
+                raise ValueError(f"fault {name} must be an integer, got {v!r}")
         if self.delta == 0:
             raise ValueError("a fault with delta 0 perturbs nothing")
         if self.kind == "hook":
@@ -427,7 +432,7 @@ def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):
             ctx.decode(rhs) * Fraction(1, ctx.mu_h_prod))
 
 
-# each identity's check, yielding (corner, lhs, rhs) with the sides as
+# each identity's check, returning (corner, lhs, rhs) with the sides as
 # compared, and how a failing or captured check reports those sides
 _CHECKERS = {
     IdentityId.THM_1_1: (_check_thm_1_1, _times_common),
@@ -443,17 +448,14 @@ _CHECKERS = {
 }
 
 
-def verdicts(identity: IdentityId, ctx: PartitionContext, capture: bool) -> list[tuple]:
-    """(corner, passed, lhs, rhs) for each check of one identity on one
-    context, with the reported sides for failures and captured passes."""
-    check, report = _CHECKERS[identity]
+def _compare(results: list[tuple], capture: bool) -> list[tuple]:
+    """The one comparison of a check's sides: (corner, passed, lhs, rhs),
+    sides as compared, for each result of one check call that a report
+    shows, which is every failure and, under capture, every pass."""
     out = []
-    for corner, lhs, rhs in check(ctx):
-        passed = lhs == rhs
-        if passed and not capture:
-            out.append((corner, True, None, None))
-        else:
-            out.append((corner, passed, *report(ctx, lhs, rhs)))
+    for corner, lhs, rhs in results:
+        if capture or lhs != rhs:
+            out.append((corner, lhs == rhs, lhs, rhs))
     return out
 
 
@@ -474,14 +476,15 @@ def check_identity(
     if not lam:
         raise PartitionError(f"{identity.value} needs a nonempty partition")
     ws = workspace if workspace is not None else Workspace()
-    return [
-        VerificationOutcome(
-            identity=identity.value,
-            partition=lam,
-            corner_index=corner,
-            status="pass" if ok else "fail",
-            lhs=lhs,
-            rhs=rhs,
-        )
-        for corner, ok, lhs, rhs in verdicts(identity, ws.context(lam), capture)
-    ]
+    ctx = ws.context(lam)
+    check, report = _CHECKERS[identity]
+    results = check(ctx)
+    # a check's corners are distinct, so they key the results it shows
+    sides = {corner: (passed, *report(ctx, lhs, rhs))
+             for corner, passed, lhs, rhs in _compare(results, capture)}
+    outcomes = []
+    for corner, _, _ in results:
+        passed, lhs, rhs = sides.get(corner, (True, None, None))
+        outcomes.append(VerificationOutcome(identity.value, lam, corner,
+                                            "pass" if passed else "fail", lhs, rhs))
+    return outcomes

@@ -249,11 +249,13 @@ def _remove_corner(lam: Partition, i: int) -> Partition:
 
 def single_box_additions(lam: Partition) -> tuple[Partition, ...]:
     """The partitions obtained by adding one box; adjoint to corner removal."""
+    # trusted constructor: a box at the end of the first row, of a row
+    # shorter than the one above, or in a new row leaves a partition
     out = []
     for i in range(1, len(lam) + 1):
-        if i == 1 or lam.part(i - 1) > lam.part(i):
+        if i == 1 or lam[i - 2] > lam[i - 1]:
             parts = list(lam)
             parts[i - 1] += 1
-            out.append(Partition(parts))
-    out.append(Partition(tuple(lam) + (1,)))
+            out.append(tuple.__new__(Partition, parts))
+    out.append(tuple.__new__(Partition, (*lam, 1)))
     return tuple(out)

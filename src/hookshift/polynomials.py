@@ -22,7 +22,6 @@ integer values (see ``hookshift.identities``).
 from __future__ import annotations
 
 from fractions import Fraction
-from math import factorial
 from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
@@ -71,11 +70,9 @@ class ExactPolynomial:
     def __add__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         if not isinstance(other, ExactPolynomial):
             return NotImplemented
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        out = list(a)
-        for i, c in enumerate(b):
+        short, long = sorted((self.coeffs, other.coeffs), key=len)
+        out = list(long)
+        for i, c in enumerate(short):
             out[i] += c
         return _make(out)
 
@@ -178,10 +175,3 @@ def times_linear_factors(p: ExactPolynomial, constants: Iterable[Coeff]) -> Exac
             prev = q
         coeffs.append(prev)
     return _wrap(coeffs)
-
-
-def rising_binomial(k: int) -> ExactPolynomial:
-    """The degree-k polynomial x(x+1)...(x+k-1) / k!."""
-    if k < 0:
-        raise ValueError("k must be nonnegative")
-    return product_of_linear_factors(range(k)) * Fraction(1, factorial(k))

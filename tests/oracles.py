@@ -7,6 +7,7 @@ derivations.
 
 from collections import Counter
 from fractions import Fraction
+from functools import cache
 from itertools import permutations
 from math import factorial, prod
 
@@ -43,6 +44,14 @@ def mul(*factors):
                 out[i] += a * b
         coeffs = out
     return ExactPolynomial(coeffs)
+
+
+def rising_binomial(k):
+    """The degree-k polynomial x(x+1)...(x+k-1) / k!, the coefficient of
+    p1^k e_(n-k) in the Schur identity as the paper states it."""
+    if k < 0:
+        raise ValueError("k must be nonnegative")
+    return mul(*map(linear, range(k))) * Fraction(1, factorial(k))
 
 
 def hook_by_box_count(lam, cell):
@@ -222,9 +231,11 @@ class MonomialExpansion:
         return f"MonomialExpansion({body or '0'})"
 
 
+@cache
 def kostka(lam: Partition, mu: Partition) -> int:
     """Number of semistandard tableaux of shape lam and content mu, by
-    exhaustive row-by-row enumeration, whose cost grows with the count."""
+    exhaustive row-by-row enumeration, whose cost grows with the count;
+    each pair is counted once per test session."""
     lam, mu = Partition(lam), Partition(mu)
     if lam.size != mu.size:
         raise ValueError(f"|{lam}| = {lam.size} but |{mu}| = {mu.size}")

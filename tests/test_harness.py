@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import json
 from collections import Counter
+from fractions import Fraction
 
 import pytest
 
@@ -12,6 +14,7 @@ from hookshift import (
     check_identity,
     enumerate_partitions,
     harness,
+    identities,
     parse_partition,
     schur,
 )
@@ -196,6 +199,27 @@ def test_identity_unit_matches_check_identity(fault, capture):
         assert _identity_unit(n, tuple(IdentityId), fault, capture) == expected, n
 
 
+def test_identity_unit_runs_each_distinct_check_once_per_partition(monkeypatch):
+    # REC_1_2, REC_1_3 and COR_4_4 share one check; the unit runs it once
+    # per context and each of the three reports it
+    before = {n: _identity_unit(n, tuple(IdentityId), None, True) for n in range(1, 8)}
+    calls = Counter()
+    counted = {}
+    for identity, (check, report) in list(identities._CHECKERS.items()):
+        if check not in counted:
+            def counting(ctx, check=check):
+                calls[check, ctx.lam] += 1
+                return check(ctx)
+
+            counted[check] = counting
+        monkeypatch.setitem(identities._CHECKERS, identity, (counted[check], report))
+    assert len(counted) == 8
+    for n in range(1, 8):
+        assert _identity_unit(n, tuple(IdentityId), None, True) == before[n], n
+    assert calls == {(check, lam): 1 for check in counted
+                     for n in range(1, 8) for lam in enumerate_partitions(n)}
+
+
 def test_report_deterministic_across_runs():
     cfg = small_config()
     a = json.loads(render_report(run_sweep(cfg)))
@@ -311,7 +335,7 @@ def test_oracle_catches_term_maps_wrong_the_same_way(monkeypatch):
     # still hold, and only the evaluation at a point sees the error
     rhs = schur.schur_rhs
 
-    def doubled(n):
+    def doubled(n, *table):
         return rhs(n).scale(2)
 
     for module in (schur, harness):
@@ -330,9 +354,9 @@ def test_sweep_builds_each_schur_side_once(monkeypatch):
     for name in ("schur_lhs", "schur_rhs"):
         build = getattr(schur, name)
 
-        def counted(m, name=name, build=build):
+        def counted(m, *table, name=name, build=build):
             calls[name, m] += 1
-            return build(m)
+            return build(m, *table)
 
         for module in (schur, harness):
             monkeypatch.setattr(module, name, counted)
@@ -391,8 +415,9 @@ def test_schur_failures_carry_witnesses(monkeypatch):
     rows = {row["n"]: row for row in report.theorem_rows}
     assert [n for n, row in rows.items() if "fail" in row.values()] == [3, 4]
     equality = rows[3]["equality_witness"]
-    assert json.loads(equality["rhs"]) == rhs(3).scale(2).serialize()
-    assert json.loads(equality["lhs"]) == schur.schur_lhs(3).serialize()
+    # witnesses show the sides divided by n!, as the paper states them
+    assert json.loads(equality["rhs"]) == schur.uncleared(rhs(3).scale(2), 3).serialize()
+    assert json.loads(equality["lhs"]) == schur.uncleared(schur.schur_lhs(3), 3).serialize()
     for n in (3, 4):
         # a degree-n recurrence reads the rhs at n and at n - 1
         witness = {k: json.loads(v) for k, v in rows[n]["recurrences_witness"].items()}
@@ -401,7 +426,57 @@ def test_schur_failures_carry_witnesses(monkeypatch):
     assert "equality_witness" not in rows[4]
 
 
+def test_clean_schur_pass_holds_only_integers(monkeypatch):
+    # cleared by n!, every coefficient of both sides is an integer
+    # polynomial, through degree 12
+    built = []
+    for name in ("schur_lhs", "schur_rhs"):
+        build = getattr(schur, name)
+
+        def recorded(m, *table, build=build):
+            built.append(build(m, *table))
+            return built[-1]
+
+        monkeypatch.setattr(harness, name, recorded)
+    rows = _theorem_unit(12, 9)
+    assert not any(map(_task_failed, rows))
+    assert len(built) == 2 * 13
+    assert {type(c) for side in built for p in side.terms.values() for c in p.coeffs} == {int}
+
+
+def test_schur_pass_with_hook_product_not_dividing_n_factorial(monkeypatch):
+    # H(4) = 24 made 120: n!/H = 1/5 is kept as an exact Fraction, and the
+    # pass reports failures at degree 4, and at 5 through the recurrences,
+    # without raising
+    hook_product = schur.hook_product
+    monkeypatch.setattr(schur, "hook_product",
+                        lambda lam: 5 * hook_product(lam) if lam == (4,) else hook_product(lam))
+    rhs = schur.schur_rhs(4)
+    assert {type(c) for c in rhs.terms[Partition((4,))].coeffs} == {Fraction}
+    assert {type(c) for c in rhs.terms[Partition((3, 1))].coeffs} == {int}
+    rows = _theorem_unit(6, 6)
+    assert [row["n"] for row in rows if _task_failed(row)] == [4, 5]
+    assert rows[4]["equality"] == rows[4]["recurrences"] == rows[4]["oracle"] == "fail"
+    assert rows[5]["equality"] == rows[5]["oracle"] == "pass"
+    assert rows[5]["recurrences"] == "fail"
+    # the witness shows the wrong coefficient divided by 4!: g(x+4)/120
+    shown = {t["partition"]: t["coefficient"] for t in json.loads(rows[4]["equality_witness"]["rhs"])}
+    assert shown["4"][0] == [4, "1/120"]
+
+
 # --- rendering --------------------------------------------------------------------
+
+def test_json_render_leaves_no_garbage():
+    # json.dumps with an indent leaves reference cycles behind on every
+    # call; the renderer writes the same bytes without them
+    report = run_sweep(small_config(capture_witnesses=True,
+                                    fault=Fault(kind="hook", partition=Partition((2, 1)),
+                                                row=1, col=1)))
+    gc.collect()
+    text = render_report(report)
+    assert gc.collect() == 0
+    assert text == json.dumps(report.to_json(), indent=2)
+
 
 def test_csv_format():
     report = run_sweep(small_config(identities=(IdentityId.THM_1_1,), output_format="csv"))

@@ -383,6 +383,25 @@ def test_fault_validation():
     assert Fault(kind="g-factor", partition=Partition((1,)), index=1, delta=-1).delta == -1
 
 
+@pytest.mark.parametrize(
+    "fields, name",
+    [
+        # such fields used to pass validation and then fail deep in a sweep,
+        # or fail without naming the field; delta=True was reported as true
+        (dict(kind="g-factor", index=1, delta=0.5), "delta"),
+        (dict(kind="hook", row=1, col=1, delta=0.5), "delta"),
+        (dict(kind="g-factor", index=1, delta=True), "delta"),
+        (dict(kind="hook", row=1.0, col=1), "row"),
+        (dict(kind="hook", row=1, col=True), "col"),
+        (dict(kind="g-factor", index=Fraction(1)), "index"),
+        (dict(kind="g-factor", index="1"), "index"),
+    ],
+)
+def test_fault_rejects_non_integer_fields(fields, name):
+    with pytest.raises(ValueError, match=f"^fault {name} must be an integer, got "):
+        Fault(partition=Partition((2, 1)), **fields)
+
+
 def test_hook_fault_changes_only_its_target():
     fault = Fault(kind="hook", partition=Partition((2, 1)), row=1, col=1, delta=1)
     ws = Workspace(fault)

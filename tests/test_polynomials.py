@@ -8,10 +8,9 @@ from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
     product_of_linear_factors,
-    rising_binomial,
     times_linear_factors,
 )
-from oracles import X, difference, linear, mul
+from oracles import X, difference, linear, mul, rising_binomial
 from strategies import exact_coeffs, polynomials
 
 

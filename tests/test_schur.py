@@ -1,5 +1,6 @@
 import json
 from fractions import Fraction
+from math import factorial
 
 import pytest
 from hypothesis import given
@@ -14,15 +15,17 @@ from hookshift import (
     schur_rhs,
     syt_count,
 )
-from hookshift.polynomials import ExactPolynomial, rising_binomial
+from hookshift.polynomials import ExactPolynomial
 from hookshift.schur import (
     SchurExpansion,
     check_at_point,
     check_schur_recurrences,
     check_theorem_1_2,
     det_bareiss,
+    p1_e_table,
     pieri_p1,
     schur_value,
+    uncleared,
 )
 from oracles import (
     MonomialExpansion,
@@ -32,12 +35,19 @@ from oracles import (
     linear,
     monomial_times_p1,
     monomial_value,
+    rising_binomial,
     schur_value_by_kostka,
     to_monomial,
 )
 from strategies import partitions
 
 P = Partition
+
+
+def paper_sides(n):
+    # the library clears both sides by n!; the tests that pin the paper's
+    # values read them divided back
+    return uncleared(schur_lhs(n), n), uncleared(schur_rhs(n), n)
 
 
 # --- expansion basics --------------------------------------------------------
@@ -101,12 +111,24 @@ def test_pieri_adjoint_to_corner_removal(mu):
         assert (lam in image) == (mu in corner_sets(lam).removal_list)
 
 
+def test_p1_e_table():
+    # p1^n is the sum of f_lam s_lam, and e_n is s_(1^n); a table built on
+    # the one a degree below equals one built from degree 0
+    for n in range(9):
+        table = p1_e_table(n)
+        assert len(table) == n + 1
+        assert table[0] == {P((1,) * n): 1}
+        assert table[n] == {lam: syt_count(lam) for lam in enumerate_partitions(n)}
+        assert table == p1_e_table(n, p1_e_table(n - 1) if n else ())
+        assert schur_lhs(n, table) == schur_lhs(n)
+
+
 # --- elementary symmetric functions ---------------------------------------------
 
 def test_elementary_as_schur():
     # at x = 0 only the k = 0 term of schur_lhs survives: e_n = s_(1^n)
     for n, column in ((0, P()), (1, P((1,))), (3, P((1, 1, 1)))):
-        assert schur_lhs(n).map_coefficients(lambda c: c(0)).terms == {column: 1}
+        assert paper_sides(n)[0].map_coefficients(lambda c: c(0)).terms == {column: 1}
     with pytest.raises(ValueError):
         schur_lhs(-1)
 
@@ -121,11 +143,13 @@ def test_elementary_matches_monomial_expansion():
 # --- the two sides of the Schur identity ------------------------------------------
 
 def test_sides_at_degree_zero_and_one():
-    assert schur_lhs(0).terms == {P(): ExactPolynomial((1,))}
-    assert schur_rhs(0).terms == {P(): ExactPolynomial((Fraction(1),))}
-    assert schur_lhs(0) == schur_rhs(0)
-    assert schur_lhs(1).terms == {P((1,)): linear(1)}
-    assert schur_rhs(1) == schur_lhs(1)
+    lhs, rhs = paper_sides(0)
+    assert lhs.terms == {P(): ExactPolynomial((1,))}
+    assert rhs.terms == {P(): ExactPolynomial((Fraction(1),))}
+    assert lhs == rhs
+    lhs, rhs = paper_sides(1)
+    assert lhs.terms == {P((1,)): linear(1)}
+    assert rhs == lhs
 
 
 def test_sides_at_degree_two_frozen():
@@ -135,8 +159,9 @@ def test_sides_at_degree_two_frozen():
         P((2,)): ExactPolynomial((0, 3 * half, half)),
         P((1, 1)): ExactPolynomial((1, 3 * half, half)),
     }
-    assert schur_lhs(2).terms == expected
-    assert schur_rhs(2).terms == expected
+    lhs, rhs = paper_sides(2)
+    assert lhs.terms == expected
+    assert rhs.terms == expected
 
 
 def test_sides_agree_up_to_seven():
@@ -148,21 +173,34 @@ def sides(n):
     return schur_lhs(n), schur_rhs(n)
 
 
+def test_cleared_sides_are_n_factorial_times_the_kostka_route():
+    # the paper's right side, built here from g and H alone, and taken to
+    # the monomial basis through Kostka numbers; both cleared sides are n!
+    # times it there, and the Kostka matrix is invertible
+    for n in range(11):
+        paper = SchurExpansion({lam: g_poly(lam).shift(n) * Fraction(1, hook_product(lam))
+                                for lam in enumerate_partitions(n)})
+        expected = to_monomial(paper.scale(factorial(n)))
+        assert to_monomial(schur_lhs(n)) == expected, n
+        assert to_monomial(schur_rhs(n)) == expected, n
+
+
 def test_check_theorem_1_2():
     for n in range(8):
         assert check_theorem_1_2(n, sides(n)) is None
     lhs, rhs = sides(2)
     witness = check_theorem_1_2(2, (lhs, rhs.scale(2)))
-    assert witness == {"lhs": json.dumps(lhs.serialize()),
-                       "rhs": json.dumps(rhs.scale(2).serialize())}
+    # a witness shows the sides divided by n!, as the paper states them
+    assert witness == {"lhs": json.dumps(uncleared(lhs, 2).serialize()),
+                       "rhs": json.dumps(uncleared(rhs.scale(2), 2).serialize())}
     with pytest.raises(ValueError):
         check_theorem_1_2(-1, (SchurExpansion(), SchurExpansion()))
 
 
 def test_recurrence_by_hand_at_degree_one():
     # (x+1) s_1 == x s_1 + p1 s_empty
-    lhs = schur_rhs(1)
-    rhs = schur_rhs(1).map_coefficients(lambda c: c.shift(-1)) + pieri_p1(schur_rhs(0))
+    lhs = paper_sides(1)[1]
+    rhs = lhs.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(paper_sides(0)[1])
     assert lhs == rhs
 
 
@@ -181,7 +219,7 @@ def test_check_schur_recurrences():
 
 def test_rhs_coefficients_specialize_at_zero():
     for n in range(7):
-        for lam, coeff in schur_rhs(n).terms.items():
+        for lam, coeff in paper_sides(n)[1].terms.items():
             assert coeff(0) == Fraction(g_poly(lam)(n), hook_product(lam))
 
 
@@ -254,12 +292,12 @@ def test_identity_at_integer_specializations():
                     rising_binomial(k)(t) * p1 ** k * elementary_value(n - k, xs)
                     for k in range(n + 1)
                 )
-                for side in (schur_rhs, schur_lhs):
+                for label, side in zip(("lhs", "rhs"), paper_sides(n)):
                     via_expansion = sum(
-                        (coeff(t) * values[lam] for lam, coeff in side(n).terms.items()),
+                        (coeff(t) * values[lam] for lam, coeff in side.terms.items()),
                         start=Fraction(0),
                     )
-                    assert via_expansion == direct, (xs, n, t, side.__name__)
+                    assert via_expansion == direct, (xs, n, t, label)
 
 
 # --- the evaluation check --------------------------------------------------------------
@@ -296,5 +334,11 @@ def test_check_at_point():
     lhs, rhs = sides(4)
     assert not check_at_point(4, (lhs, rhs.scale(2)))
     assert not check_at_point(4, (lhs.scale(2), rhs))
+    # an error that vanishes at x = 1/3 passes this spot check, unless it
+    # takes a coefficient past degree n, which no true side has
+    vanishing = SchurExpansion({P((4,)): ExactPolynomial((-1, 3))})
+    assert check_at_point(4, (lhs + vanishing, rhs))
+    vanishing = SchurExpansion({P((4,)): ExactPolynomial((0, 0, 0, 0, -1, 3))})
+    assert not check_at_point(4, (lhs + vanishing, rhs))
     with pytest.raises(ValueError):
         check_at_point(-1, (SchurExpansion(), SchurExpansion()))
