@@ -27,7 +27,7 @@ from .partitions import (
     syt_count,
 )
 from .polynomials import ExactPolynomial
-from .schur import schur_lhs, schur_rhs, uncleared
+from .schur import schur_lhs, schur_rhs, serialize_side, uncleared
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -106,7 +106,7 @@ def _dispatch(args) -> int:
     if cmd in ("schur-lhs", "schur-rhs"):
         # the side as the paper states it, not cleared by n!
         side = (schur_lhs if cmd == "schur-lhs" else schur_rhs)(args.n)
-        print(json.dumps(uncleared(side, args.n).serialize(), indent=2))
+        print(json.dumps(serialize_side(uncleared(side, args.n)), indent=2))
         return 0
     if cmd == "check":
         return _cmd_check(args)

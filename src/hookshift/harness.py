@@ -61,7 +61,7 @@ class SweepConfig:
     def __post_init__(self):
         for name in ("max_n_identities", "max_n_theorem_1_2", "max_n_oracles"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if isinstance(v, bool) or not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if self.max_n_oracles > self.max_n_theorem_1_2:
             # the oracle runs only at the Schur degrees
@@ -80,9 +80,9 @@ class SweepConfig:
         if not chosen:
             raise ValueError("no identities selected, so the sweep would check nothing")
         object.__setattr__(self, "identities", tuple(i for i in CATALOG if i in chosen))
-        if self.parallelism != "auto":
-            if not isinstance(self.parallelism, int) or self.parallelism < 1:
-                raise ValueError("parallelism must be 'auto' or a positive integer")
+        v = self.parallelism
+        if v != "auto" and (isinstance(v, bool) or not isinstance(v, int) or v < 1):
+            raise ValueError(f"parallelism must be 'auto' or a positive integer, got {v!r}")
 
     def workers(self) -> int:
         if self.parallelism == "auto":

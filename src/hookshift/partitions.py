@@ -63,9 +63,6 @@ class Partition(tuple):
     def contains_cell(self, cell: Cell) -> bool:
         return 1 <= cell.row <= len(self) and 1 <= cell.col <= self[cell.row - 1]
 
-    def __getnewargs__(self):
-        return (tuple(self),)
-
     def __str__(self) -> str:
         if not self:
             return "0"

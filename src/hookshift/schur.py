@@ -1,12 +1,10 @@
 """Schur-basis symmetric function arithmetic with exact coefficients.
 
-Expansions are finite maps from partitions to exact coefficients that
-add, and scale by a number: int, Fraction, or ExactPolynomial all work.
-``scale`` multiplies integer coefficients by any of those.  The only
-product ever needed is multiplication by the first power sum, which the
-Pieri rule turns into pure bookkeeping on partitions, so Schur-basis
-equality of the two sides of the main symmetric-function identity is a
-dictionary comparison.
+Each side of the main symmetric-function identity is a plain dict from
+the partitions of its degree to their nonzero Schur coefficients.  The
+only product ever needed is multiplication by the first power sum, which
+the Pieri rule turns into pure bookkeeping on partitions, so Schur-basis
+equality of the two sides is a dictionary comparison.
 
 The identity is decided multiplied through by n!, the fraction-free idea
 of Bareiss (1968) that the oracle's determinants follow too: at degree n
@@ -48,85 +46,22 @@ from .polynomials import ExactPolynomial, product_of_linear_factors, times_linea
 ORACLE_X0 = Fraction(1, 3)
 
 
-class SchurExpansion:
-    """Homogeneous linear combination of Schur functions.
-
-    Zero coefficients are pruned on construction; all index partitions
-    must have one common size (the degree).  The empty expansion has
-    degree ``None``.
-    """
-
-    __slots__ = ("terms",)
-
-    def __init__(self, terms: Mapping[Partition, object] = {}):
-        self.terms = {Partition(lam): c for lam, c in terms.items() if c}
-        degrees = {lam.size for lam in self.terms}
-        if len(degrees) > 1:
-            raise ValueError(f"mixed degrees {sorted(degrees)} in one expansion")
-
-    @classmethod
-    def unit(cls, lam: Partition) -> "SchurExpansion":
-        return cls({Partition(lam): 1})
-
-    @property
-    def degree(self) -> int | None:
-        for lam in self.terms:
-            return lam.size
-        return None
-
-    def items(self):
-        """Terms in reverse-lexicographic partition order."""
-        return [(lam, self.terms[lam]) for lam in sorted(self.terms, reverse=True)]
-
-    def __add__(self, other: "SchurExpansion") -> "SchurExpansion":
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        a, b = self.degree, other.degree
-        if a is not None and b is not None and a != b:
-            raise ValueError(f"cannot add expansions of degrees {a} and {b}")
-        out = dict(self.terms)
-        for lam, c in other.terms.items():
-            out[lam] = out[lam] + c if lam in out else c
-        return SchurExpansion(out)
-
-    def scale(self, c) -> "SchurExpansion":
-        return SchurExpansion({lam: v * c for lam, v in self.terms.items()})
-
-    def map_coefficients(self, fn) -> "SchurExpansion":
-        return SchurExpansion({lam: fn(c) for lam, c in self.terms.items()})
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.terms == other.terms
-
-    def __len__(self) -> int:
-        return len(self.terms)
-
-    def serialize(self) -> list[dict]:
-        return [
-            {"partition": str(lam), "coefficient": _serialize_witness(c)}
-            for lam, c in self.items()
-        ]
-
-    def __repr__(self) -> str:
-        body = ", ".join(f"s[{lam}]*({c})" for lam, c in self.items())
-        return f"SchurExpansion({body or '0'})"
+def serialize_side(side: Mapping) -> list[dict]:
+    """A side's terms as JSON-ready dicts, partitions in reverse-lexicographic
+    order: the form of witnesses and of ``hookshift schur-lhs``/``schur-rhs``."""
+    return [{"partition": str(lam), "coefficient": _serialize_witness(side[lam])}
+            for lam in sorted(side, reverse=True)]
 
 
-def _pieri_terms(terms: Mapping) -> dict:
+def pieri_p1(terms: Mapping) -> dict:
+    """Multiply a dict of Schur terms by the first power sum: each s_mu
+    maps to the sum of s_lam over the partitions lam that add one box to
+    mu.  Raises the degree by exactly one."""
     out: dict[Partition, object] = {}
     for mu, c in terms.items():
         for lam in single_box_additions(mu):
             out[lam] = out[lam] + c if lam in out else c
     return out
-
-
-def pieri_p1(a: SchurExpansion) -> SchurExpansion:
-    """Multiply by the first power sum: each s_mu maps to the sum of s_lam
-    over the partitions lam that add one box to mu.  Raises the degree by
-    exactly one."""
-    return SchurExpansion(_pieri_terms(a.terms))
 
 
 def p1_e_table(n: int, below: tuple[dict, ...] = ()) -> tuple[dict, ...]:
@@ -140,17 +75,18 @@ def p1_e_table(n: int, below: tuple[dict, ...] = ()) -> tuple[dict, ...]:
     """
     table = below
     for m in range(len(table), n + 1):
-        table = ({Partition((1,) * m): 1}, *map(_pieri_terms, table))
+        table = ({Partition((1,) * m): 1}, *map(pieri_p1, table))
     return table
 
 
-def schur_lhs(n: int, table: tuple[dict, ...] | None = None) -> SchurExpansion:
+def schur_lhs(n: int, table: tuple[dict, ...] | None = None) -> dict:
     """n! times the sum over k of x(x+1)...(x+k-1)/k! * p1^k e_(n-k), in
     the Schur basis: the sum over k of (n!/k!) x(x+1)...(x+k-1) times the
     integer counts of p1^k e_(n-k), read from ``table``, degree n's
     ``p1_e_table``, which is built here when not given.
 
-    Homogeneous of degree n, with integer polynomial coefficients.
+    A dict from each partition of n to its coefficient, an integer
+    polynomial, none of them zero.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
@@ -166,12 +102,13 @@ def schur_lhs(n: int, table: tuple[dict, ...] | None = None) -> SchurExpansion:
                 acc = coeffs[lam] = [0] * (n + 1)
             for j, c in enumerate(rising):
                 acc[j] += count * c
-    return SchurExpansion({lam: ExactPolynomial(cs) for lam, cs in coeffs.items()})
+    return {lam: ExactPolynomial(cs) for lam, cs in coeffs.items()}
 
 
-def schur_rhs(n: int) -> SchurExpansion:
+def schur_rhs(n: int) -> dict:
     """n! times the sum over partitions of n of g(x+n) / (hook product)
-    times s_lam: the coefficient of s_lam is f_lam g(x+n), f_lam = n!/H.
+    times s_lam, as a dict from each partition lam of n to its coefficient
+    f_lam g(x+n), f_lam = n!/H.
 
     g(x+n) is built from its factors (x + c + n), one per constant c of g,
     onto the constant f_lam.  A hook product that does not divide n!
@@ -186,13 +123,14 @@ def schur_rhs(n: int) -> SchurExpansion:
         f = nf // h if nf % h == 0 else Fraction(nf, h)
         terms[lam] = times_linear_factors(ExactPolynomial((f,)),
                                           [c + n for c in shifted_part_constants(lam)])
-    return SchurExpansion(terms)
+    return terms
 
 
-def uncleared(side: SchurExpansion, n: int) -> SchurExpansion:
+def uncleared(side: Mapping, n: int) -> dict:
     """A side of degree n divided by n!: the identity as the paper states
     it, the form in which witnesses and the command line show a side."""
-    return side.scale(Fraction(1, factorial(n)))
+    inverse = Fraction(1, factorial(n))
+    return {lam: c * inverse for lam, c in side.items()}
 
 
 def check_theorem_1_2(n: int, sides: tuple) -> dict | None:
@@ -209,8 +147,8 @@ def check_theorem_1_2(n: int, sides: tuple) -> dict | None:
     lhs, rhs = sides
     if lhs == rhs:
         return None
-    return {"lhs": json.dumps(uncleared(lhs, n).serialize()),
-            "rhs": json.dumps(uncleared(rhs, n).serialize())}
+    return {"lhs": json.dumps(serialize_side(uncleared(lhs, n))),
+            "rhs": json.dumps(serialize_side(uncleared(rhs, n)))}
 
 
 def check_schur_recurrences(n: int, sides: tuple, prev: tuple) -> dict | None:
@@ -220,19 +158,24 @@ def check_schur_recurrences(n: int, sides: tuple, prev: tuple) -> dict | None:
     side equals its own x -> x-1 substitution plus p1 times the side one
     degree lower.
 
-    Substitution acts coefficient-wise through polynomial shift by -1.  A
-    failure's witness, shaped as check_theorem_1_2's and divided by n!
-    the same way, is the first failing side, rhs before lhs.
+    Substitution acts coefficient-wise through polynomial shift by -1.
+    The expected side drops its zero coefficients, so that dict equality
+    is Schur-basis equality.  A failure's witness, shaped as
+    check_theorem_1_2's and divided by n! the same way, is the first
+    failing side, rhs before lhs.
     """
     if n < 1:
         raise ValueError(f"n = {n}: the recurrences start at degree 1")
     (lhs, rhs), (prev_lhs, prev_rhs) = sides, prev
     for label, cur, before in (("rhs", rhs, prev_rhs), ("lhs", lhs, prev_lhs)):
-        expect = cur.map_coefficients(lambda c: c.shift(-1)) + pieri_p1(before).scale(n)
+        expect = {lam: c.shift(-1) for lam, c in cur.items()}
+        for lam, c in pieri_p1(before).items():
+            expect[lam] = expect[lam] + c * n if lam in expect else c * n
+        expect = {lam: c for lam, c in expect.items() if c}
         if cur != expect:
             return {
-                "lhs": json.dumps({"side": label, "value": uncleared(cur, n).serialize()}),
-                "rhs": json.dumps({"side": label, "value": uncleared(expect, n).serialize()}),
+                "lhs": json.dumps({"side": label, "value": serialize_side(uncleared(cur, n))}),
+                "rhs": json.dumps({"side": label, "value": serialize_side(uncleared(expect, n))}),
             }
     return None
 
@@ -296,10 +239,10 @@ def check_at_point(n: int, sides: tuple) -> bool:
                  for k in range(n + 1))
     powers = [a**j * b ** (n - j) for j in range(n + 1)]
     lhs, rhs = sides
-    values = {lam: schur_value(lam, xs) for lam in lhs.terms.keys() | rhs.terms.keys()}
+    values = {lam: schur_value(lam, xs) for lam in lhs.keys() | rhs.keys()}
     for side in sides:
         total = 0
-        for lam, c in side.terms.items():
+        for lam, c in side.items():
             if len(c.coeffs) > n + 1:
                 return False
             total += sum(cj * pj for cj, pj in zip(c.coeffs, powers)) * values[lam]

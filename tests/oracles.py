@@ -20,7 +20,6 @@ from hookshift.partitions import (
     hook_product,
 )
 from hookshift.polynomials import ExactPolynomial
-from hookshift.schur import SchurExpansion
 
 
 def linear(c):
@@ -210,8 +209,8 @@ def elementary_value(m, xs):
 
 
 class MonomialExpansion:
-    """Linear combination of monomial symmetric functions, same contract as
-    SchurExpansion but in the monomial basis."""
+    """Linear combination of monomial symmetric functions: a map from
+    partitions to coefficients, zeros pruned, compared by that map."""
 
     __slots__ = ("terms",)
 
@@ -268,17 +267,18 @@ def kostka(lam: Partition, mu: Partition) -> int:
     return fill(0, None)
 
 
-def to_monomial(a: SchurExpansion) -> MonomialExpansion:
-    """Expand Schur terms into the monomial basis through Kostka numbers.
+def to_monomial(side: dict) -> MonomialExpansion:
+    """Expand a side, a dict from partitions of one size to Schur
+    coefficients, into the monomial basis through Kostka numbers.
 
     Equal Schur expansions have equal images, so comparing two images
     cross-checks the Kostka arithmetic, not the Schur coefficients.
     """
-    if a.degree is None:
+    if not side:
         return MonomialExpansion()
-    shapes = list(enumerate_partitions(a.degree))
+    shapes = list(enumerate_partitions(next(iter(side)).size))
     out: dict[Partition, object] = {}
-    for lam, c in a.terms.items():
+    for lam, c in side.items():
         for mu in shapes:
             if k := kostka(lam, mu):
                 out[mu] = out[mu] + c * k if mu in out else c * k
@@ -297,7 +297,7 @@ def monomial_value(mu, xs):
 def schur_value_by_kostka(lam, xs):
     """s_lam at the values xs as sum_mu K(lam, mu) m_mu(xs): tableau
     counting, with no determinant."""
-    image = to_monomial(SchurExpansion.unit(lam))
+    image = to_monomial({lam: 1})
     return sum(k * monomial_value(mu, xs) for mu, k in image.terms.items())
 
 

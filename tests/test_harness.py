@@ -34,6 +34,10 @@ def small_config(**kw):
     return SweepConfig(**base)
 
 
+def _doubled(side):
+    return {lam: 2 * c for lam, c in side.items()}
+
+
 # --- configuration ------------------------------------------------------------
 
 def test_config_defaults():
@@ -67,6 +71,16 @@ def test_config_validation():
             max_n_identities=3,
             fault=Fault(kind="hook", partition=Partition((5,)), row=1, col=1),
         )
+
+
+@pytest.mark.parametrize(
+    "field", ["max_n_identities", "max_n_theorem_1_2", "max_n_oracles", "parallelism"]
+)
+def test_config_rejects_bool_bounds_and_parallelism(field):
+    # True is an int to isinstance, but a report echoing it as a bound or
+    # a worker count would say "true"
+    with pytest.raises(ValueError, match=field):
+        small_config(**{field: True})
 
 
 def test_identity_selection_normalized_to_catalog_order():
@@ -157,7 +171,7 @@ def test_schur_failure_report_bytes_are_pinned(monkeypatch):
     # witness text of a failing equality and two failing recurrences
     rhs = schur.schur_rhs
     for module in (schur, harness):
-        monkeypatch.setattr(module, "schur_rhs", lambda n: rhs(n).scale(2) if n == 3 else rhs(n))
+        monkeypatch.setattr(module, "schur_rhs", lambda n: _doubled(rhs(n)) if n == 3 else rhs(n))
     report = run_sweep(SweepConfig(max_n_identities=4, max_n_theorem_1_2=4, max_n_oracles=4,
                                    parallelism=1, capture_witnesses=True))
     assert [row["n"] for row in report.theorem_rows if _task_failed(row)] == [3, 4]
@@ -336,7 +350,7 @@ def test_oracle_catches_term_maps_wrong_the_same_way(monkeypatch):
     rhs = schur.schur_rhs
 
     def doubled(n, *table):
-        return rhs(n).scale(2)
+        return _doubled(rhs(n))
 
     for module in (schur, harness):
         for name in ("schur_lhs", "schur_rhs"):
@@ -410,14 +424,14 @@ def test_fault_crosses_process_boundary():
 def test_schur_failures_carry_witnesses(monkeypatch):
     rhs = schur.schur_rhs
     for module in (schur, harness):
-        monkeypatch.setattr(module, "schur_rhs", lambda n: rhs(n).scale(2) if n == 3 else rhs(n))
+        monkeypatch.setattr(module, "schur_rhs", lambda n: _doubled(rhs(n)) if n == 3 else rhs(n))
     report = run_sweep(small_config(identities=(IdentityId.THM_1_1,), max_n_theorem_1_2=4))
     rows = {row["n"]: row for row in report.theorem_rows}
     assert [n for n, row in rows.items() if "fail" in row.values()] == [3, 4]
     equality = rows[3]["equality_witness"]
     # witnesses show the sides divided by n!, as the paper states them
-    assert json.loads(equality["rhs"]) == schur.uncleared(rhs(3).scale(2), 3).serialize()
-    assert json.loads(equality["lhs"]) == schur.uncleared(schur.schur_lhs(3), 3).serialize()
+    for key, side in (("rhs", _doubled(rhs(3))), ("lhs", schur.schur_lhs(3))):
+        assert json.loads(equality[key]) == schur.serialize_side(schur.uncleared(side, 3))
     for n in (3, 4):
         # a degree-n recurrence reads the rhs at n and at n - 1
         witness = {k: json.loads(v) for k, v in rows[n]["recurrences_witness"].items()}
@@ -441,7 +455,7 @@ def test_clean_schur_pass_holds_only_integers(monkeypatch):
     rows = _theorem_unit(12, 9)
     assert not any(map(_task_failed, rows))
     assert len(built) == 2 * 13
-    assert {type(c) for side in built for p in side.terms.values() for c in p.coeffs} == {int}
+    assert {type(c) for side in built for p in side.values() for c in p.coeffs} == {int}
 
 
 def test_schur_pass_with_hook_product_not_dividing_n_factorial(monkeypatch):
@@ -452,8 +466,8 @@ def test_schur_pass_with_hook_product_not_dividing_n_factorial(monkeypatch):
     monkeypatch.setattr(schur, "hook_product",
                         lambda lam: 5 * hook_product(lam) if lam == (4,) else hook_product(lam))
     rhs = schur.schur_rhs(4)
-    assert {type(c) for c in rhs.terms[Partition((4,))].coeffs} == {Fraction}
-    assert {type(c) for c in rhs.terms[Partition((3, 1))].coeffs} == {int}
+    assert {type(c) for c in rhs[Partition((4,))].coeffs} == {Fraction}
+    assert {type(c) for c in rhs[Partition((3, 1))].coeffs} == {int}
     rows = _theorem_unit(6, 6)
     assert [row["n"] for row in rows if _task_failed(row)] == [4, 5]
     assert rows[4]["equality"] == rows[4]["recurrences"] == rows[4]["oracle"] == "fail"

@@ -1,3 +1,4 @@
+import pickle
 from math import factorial, prod
 
 import pytest
@@ -5,6 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from hookshift import (
+    Fault,
     Partition,
     PartitionError,
     corner_sets,
@@ -95,6 +97,16 @@ def test_parse_serialization_round_trip(lam):
 @given(st.integers(1, 500))
 def test_single_part_round_trip(p):
     assert parse_partition(str(Partition((p,)))) == (p,)
+
+
+def test_partition_pickles_to_an_equal_partition():
+    # a sweep's worker processes receive partitions, inside faults too
+    for lam in (Partition(), Partition((5, 5, 3, 3, 1))):
+        copy = pickle.loads(pickle.dumps(lam))
+        assert copy == lam and type(copy) is Partition
+    fault = Fault(kind="hook", partition=Partition((3, 2, 1)), row=1, col=2)
+    copy = pickle.loads(pickle.dumps(fault))
+    assert copy == fault and type(copy.partition) is Partition
 
 
 # --- enumeration ----------------------------------------------------------

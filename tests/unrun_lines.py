@@ -1,12 +1,13 @@
-"""Fail when a statement of hookshift.polynomials goes unrun.
+"""Fail when a statement of a module in MODULES goes unrun.
 
-The polynomial module keeps only what the library runs.  This script
-traces it, in one process, under every CLI command, a hook-faulted and a
-g-factor-faulted witness sweep in each output format, and the README's
-python blocks.  It then lists each statement inside a function that no
-line event reached, and exits 1 if any is left.  Exempt are a ``raise``
-or a ``return NotImplemented`` (both end in an error), the body of a
-``__repr__``, and the entries of ALLOWED, each with its reason.
+The polynomial, Schur and identity modules keep only what the library
+runs.  This script traces them, in one process, under every CLI command,
+a hook-faulted and a g-factor-faulted witness sweep in each output
+format, and the README's python blocks.  It then lists each statement
+inside a function that no line event reached, and exits 1 if any is
+left.  Exempt are a ``raise`` or a ``return NotImplemented`` (both end
+in an error), the body of a ``__repr__``, and the entries of ALLOWED,
+each with its reason.
 
 Run it from the repository root:
 
@@ -22,23 +23,40 @@ import re
 import sys
 from pathlib import Path
 
-import hookshift.polynomials
 from hookshift import Fault, IdentityId, Partition, SweepConfig, render_report, run_sweep
-from hookshift import cli
+from hookshift import cli, identities, polynomials, schur
 
 ROOT = Path(__file__).resolve().parent.parent
-SOURCE = Path(hookshift.polynomials.__file__).resolve()
+MODULES = (polynomials, schur, identities)
 
-# (function, statement as written): why nothing here runs it
+# (module file, function, statement as written): why nothing here runs it
 ALLOWED = {
-    ("ExactPolynomial.__init__", "cs.pop()"):
+    ("polynomials.py", "ExactPolynomial.__init__", "cs.pop()"):
         "the library passes the constructor no trailing zeros; it trims for other callers",
-    ("ExactPolynomial.__str__", 'return "0"'):
+    ("polynomials.py", "ExactPolynomial.__str__", 'return "0"'):
         "no command prints a zero polynomial",
-    ("ExactPolynomial.__str__", 'coeff = f"({mag})"'):
+    ("polynomials.py", "ExactPolynomial.__str__", 'coeff = f"({mag})"'):
         "the commands print only polynomials with integer coefficients",
-    ("times_linear_factors", "return p"):
+    ("polynomials.py", "times_linear_factors", "return p"):
         "the library multiplies only nonzero polynomials by linear factors",
+    ("schur.py", "check_theorem_1_2",
+     'return {"lhs": json.dumps(serialize_side(uncleared(lhs, n))),'):
+        "only a wrong side reaches a witness, and no fault reaches the Schur pass",
+    ("schur.py", "check_schur_recurrences", "return {"):
+        "only a wrong side reaches a witness, and no fault reaches the Schur pass",
+    ("schur.py", "check_at_point", "return False"):
+        "only a wrong side fails the spot check, and no fault reaches the Schur pass",
+    ("schur.py", "det_bareiss", "return 0"):
+        "the oracle's matrices at 1..n are totally positive, so no column lacks a pivot",
+    ("schur.py", "det_bareiss", "m[k], m[pivot] = m[pivot], m[k]"):
+        "the oracle's matrices at 1..n are totally positive, so no pivot is zero",
+    ("schur.py", "det_bareiss", "sign = -sign"):
+        "the oracle's matrices at 1..n are totally positive, so no rows are swapped",
+    ("schur.py", "schur_value", "return 0"):
+        "the oracle takes n variables at degree n, so no shape has more rows than variables",
+    ("identities.py", "_serialize_witness", "return None"):
+        "only VerificationOutcome.to_json of an uncaptured pass reaches it, and no report "
+        "serializes one",
 }
 
 PARTITION = "55331"
@@ -71,18 +89,18 @@ def workload() -> None:
         exec(compile(block, "README.md", "exec"), namespace)
 
 
-def traced_lines() -> set[int]:
-    """The lines of the polynomial module that ran under the workload."""
-    hit: set[int] = set()
-    path = str(SOURCE)
+def traced_lines(paths: set[str]) -> set[tuple[str, int]]:
+    """The (file, line) pairs of the files in paths that ran under the
+    workload."""
+    hit: set[tuple[str, int]] = set()
 
     def local(frame, event, arg):
         if event == "line":
-            hit.add(frame.f_lineno)
+            hit.add((frame.f_code.co_filename, frame.f_lineno))
         return local
 
     def global_(frame, event, arg):
-        return local if frame.f_code.co_filename == path else None
+        return local if frame.f_code.co_filename in paths else None
 
     sys.settrace(global_)
     try:
@@ -124,24 +142,27 @@ def _exempt(function: str, stmt: ast.stmt) -> bool:
 
 
 def main() -> int:
-    hit = traced_lines()
-    text = SOURCE.read_text()
-    lines = text.splitlines()
+    sources = [Path(module.__file__).resolve() for module in MODULES]
+    hit = traced_lines({str(source) for source in sources})
     unrun, allowed_seen = [], set()
-    for function, stmt, span in statements(ast.parse(text)):
-        if hit.intersection(span) or _exempt(function, stmt):
-            continue
-        key = (function, lines[stmt.lineno - 1].strip())
-        if key in ALLOWED:
-            allowed_seen.add(key)
-            continue
-        unrun.append(f"{SOURCE.name}:{stmt.lineno}: {function}: {key[1]}")
+    for source in sources:
+        text = source.read_text()
+        lines = text.splitlines()
+        for function, stmt, span in statements(ast.parse(text)):
+            if any((str(source), line) in hit for line in span) or _exempt(function, stmt):
+                continue
+            key = (source.name, function, lines[stmt.lineno - 1].strip())
+            if key in ALLOWED:
+                allowed_seen.add(key)
+                continue
+            unrun.append(f"{source.name}:{stmt.lineno}: {function}: {key[2]}")
     for key in ALLOWED.keys() - allowed_seen:
         # an entry that no longer matches an unrun statement is stale
         unrun.append(f"ALLOWED entry {key} matches no unrun statement")
     for line in unrun:
         print(line)
-    print(f"{SOURCE.name}: {len(unrun)} unrun statements or stale allowlist entries")
+    names = ", ".join(source.name for source in sources)
+    print(f"{names}: {len(unrun)} unrun statements or stale allowlist entries")
     return 1 if unrun else 0
 
 
