@@ -12,7 +12,7 @@ from .partitions import (
     parse_partition,
     syt_count,
 )
-from .identities import Fault, IdentityId, Workspace, check_identity, g_poly
+from .identities import Fault, IdentityId, check_identity, g_poly
 from .schur import schur_lhs, schur_rhs
 from .harness import SweepConfig, render_report, run_sweep
 

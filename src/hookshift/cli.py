@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Exit codes: 0 success / all checks passed, 1 at least one verification
-failure, 2 usage or parse error, 3 a sweep aborted by an exception raised
-inside a work unit.  Computation subcommands print nothing
-machine-dependent, so their output is a pure function of argv.
+failure, 2 usage or parse error or an output that cannot be written
+(--output, or stdout once its reader has gone), 3 a sweep aborted by an
+exception raised inside a work unit.  Computation subcommands print
+nothing machine-dependent, so their output is a pure function of argv.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -18,7 +20,6 @@ from .harness import SweepConfig, render_report, run_sweep
 from .identities import IdentityId, check_identity, g_poly
 from .partitions import (
     Partition,
-    PartitionError,
     corner_sets,
     hook_length,
     hook_lengths,
@@ -85,10 +86,22 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return _dispatch(args)
-    except (PartitionError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        code = _dispatch(args)
+        sys.stdout.flush()  # so that a failing write shows here, not at exit
+        return code
+    except ValueError as exc:
+        message = str(exc)
+    except OSError as exc:
+        if getattr(args, "output", None):
+            message = f"cannot write --output {args.output}: {exc.strerror}"
+        else:
+            # stdout takes no more: point it at os.devnull, so that the
+            # flush at exit does not raise again
+            os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+            message = f"cannot write to stdout: {exc.strerror}"
+    with contextlib.suppress(OSError):
+        print(f"error: {message}", file=sys.stderr)
+    return 2
 
 
 def _dispatch(args) -> int:
@@ -144,7 +157,7 @@ def _cmd_check(args) -> int:
         raise ValueError(f"unknown identity id {args.identity!r}; one of "
                          + ", ".join(i.value for i in IdentityId)) from None
     lam = parse_partition(args.partition)
-    outcomes = check_identity(identity, lam, capture=True)
+    outcomes = check_identity(identity, lam)
     for o in outcomes:
         corner = f" corner={o.corner_index}" if o.corner_index is not None else ""
         print(f"{o.status.upper()} {o.identity} {o.partition}{corner} "
@@ -181,10 +194,7 @@ def _cmd_sweep(args) -> int:
     )
     # open the output before sweeping, so a bad path fails at once; an
     # existing file keeps its contents until the new report replaces them
-    try:
-        sink = open(args.output, "a") if args.output else None
-    except OSError as exc:
-        raise ValueError(f"cannot write --output {args.output}: {exc.strerror}") from None
+    sink = open(args.output, "a") if args.output else None
     with sink or contextlib.nullcontext():
         try:
             report = run_sweep(config)
@@ -256,7 +266,7 @@ def _cmd_example() -> int:
     for i in data.in_corners:
         print(f"  row {i} removed -> {data.removals[i]}")
     qden = _linear_product_str(lam.part(i) - i for i in data.in_corners)
-    (thm_4_2,) = check_identity(IdentityId.THM_4_2, lam, capture=True)
+    (thm_4_2,) = check_identity(IdentityId.THM_4_2, lam)
     print(f"so (x-{n}) g(x+1)/g(x) = {num_str} / {qden}")
     print("and the weighted corner sum identity reads")
     print("  sum over rows i in T of (H/H_i-) / (x+part(i)-i)")

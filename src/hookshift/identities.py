@@ -12,8 +12,7 @@ spurious poles) ever occurs.  The polynomial identities are compared
 after cancelling the monic common factor of g, g(x+1) and every corner
 removal's g, which each term of each side carries, so the comparison
 decides the same equality.  Each check returns the two sides it
-compares, and one table says how each identity reports them as
-witnesses: for failures, and for passes on request.
+compares, and one table says how each identity reports them.
 
 The five polynomial identities compare their sides as integers: each
 side is held as its value at one power of two X (Kronecker
@@ -100,13 +99,11 @@ class IdentityId(enum.Enum):
     COR_4_4 = "COR_4_4"
 
 
-# a captured side: a polynomial, an exact number, or absent
-Witness = Union["ExactPolynomial", int, Fraction, None]
+# a reported side: a polynomial or an exact number
+Witness = Union[ExactPolynomial, int, Fraction]
 
 
 def _serialize_witness(v: Witness):
-    if v is None:
-        return None
     if isinstance(v, ExactPolynomial):
         return [[k, s] for k, s in v.serialize()]
     f = Fraction(v)
@@ -115,18 +112,15 @@ def _serialize_witness(v: Witness):
 
 @dataclass
 class VerificationOutcome:
-    """Result of one identity check at one partition (and corner, if any).
-
-    ``lhs``/``rhs`` hold the reported sides: always for failures, for
-    passes only when witness capture was requested.
-    """
+    """Result of one identity check at one partition (and corner, if
+    any), with its two sides as a report shows them."""
 
     identity: str
     partition: Partition
     corner_index: Optional[int]
     status: str  # "pass" | "fail"
-    lhs: Witness = None
-    rhs: Witness = None
+    lhs: Witness
+    rhs: Witness
 
     @property
     def passed(self) -> bool:
@@ -433,7 +427,7 @@ def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):
 
 
 # each identity's check, returning (corner, lhs, rhs) with the sides as
-# compared, and how a failing or captured check reports those sides
+# compared, and how a report shows those sides
 _CHECKERS = {
     IdentityId.THM_1_1: (_check_thm_1_1, _times_common),
     IdentityId.REC_1_2: (_cleared_hook_sum, _tableau_counts),
@@ -448,43 +442,17 @@ _CHECKERS = {
 }
 
 
-def _compare(results: list[tuple], capture: bool) -> list[tuple]:
-    """The one comparison of a check's sides: (corner, passed, lhs, rhs),
-    sides as compared, for each result of one check call that a report
-    shows, which is every failure and, under capture, every pass."""
-    out = []
-    for corner, lhs, rhs in results:
-        if capture or lhs != rhs:
-            out.append((corner, lhs == rhs, lhs, rhs))
-    return out
-
-
-def check_identity(
-    identity: IdentityId,
-    lam: Partition,
-    workspace: Workspace | None = None,
-    capture: bool = False,
-) -> list[VerificationOutcome]:
-    """Check one identity at one partition.
-
-    Returns one outcome, or one per corner row for the per-corner
-    identities.  The reported left/right sides are attached to failures
-    always, and to passes when ``capture`` is set.
-    """
+def check_identity(identity: IdentityId, lam: Partition,
+                   fault: Fault | None = None) -> list[VerificationOutcome]:
+    """Check one identity at one partition, with ``fault`` injected if
+    given: one outcome, or one per corner row for the per-corner
+    identities, each with both of its reported sides."""
     if not isinstance(identity, IdentityId):
         raise TypeError(f"expected IdentityId, got {identity!r}")
     if not lam:
         raise PartitionError(f"{identity.value} needs a nonempty partition")
-    ws = workspace if workspace is not None else Workspace()
-    ctx = ws.context(lam)
+    ctx = Workspace(fault).context(lam)
     check, report = _CHECKERS[identity]
-    results = check(ctx)
-    # a check's corners are distinct, so they key the results it shows
-    sides = {corner: (passed, *report(ctx, lhs, rhs))
-             for corner, passed, lhs, rhs in _compare(results, capture)}
-    outcomes = []
-    for corner, _, _ in results:
-        passed, lhs, rhs = sides.get(corner, (True, None, None))
-        outcomes.append(VerificationOutcome(identity.value, lam, corner,
-                                            "pass" if passed else "fail", lhs, rhs))
-    return outcomes
+    return [VerificationOutcome(identity.value, lam, corner, "pass" if lhs == rhs else "fail",
+                                *report(ctx, lhs, rhs))
+            for corner, lhs, rhs in check(ctx)]

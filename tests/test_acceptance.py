@@ -14,7 +14,6 @@ from hookshift import (
     IdentityId,
     Partition,
     SweepConfig,
-    Workspace,
     check_identity,
     corner_sets,
     enumerate_partitions,
@@ -94,7 +93,7 @@ def test_a04_corner_set_worked_example():
     data = corner_sets(LAM)
     assert data.in_corners == (2, 4, 5)
     assert data.out_corners == (1, 3, 5, 6)
-    (outcome,) = check_identity(IdentityId.THM_4_2, LAM, capture=True)
+    (outcome,) = check_identity(IdentityId.THM_4_2, LAM)
     assert outcome.rhs == ExactPolynomial((-75, -38, 17))
     print("[A4] PASS corner sets T={2,4,5}, B={1,3,5,6} and cleared numerator "
           "17x^2-38x-75 at 5,5,3,3,1")
@@ -111,11 +110,10 @@ def test_a05_tableau_count_oracle_to_9():
 
 
 def test_a06_iterated_difference_to_20():
-    ws = Workspace()
     total = 0
     for n in range(1, 21):
         for lam in enumerate_partitions(n):
-            (outcome,) = check_identity(IdentityId.REMARK_DN, lam, ws)
+            (outcome,) = check_identity(IdentityId.REMARK_DN, lam)
             assert outcome.passed, lam
             total += 1
     print(f"[A6] PASS n-fold difference of g equals the tableau count times H for "
@@ -137,13 +135,12 @@ def test_a07_hook_ratio_sum_to_20():
 
 
 def test_a08_corner_quotient_family_to_20():
-    ws = Workspace()
     ids = (IdentityId.THM_4_1, IdentityId.THM_4_2, IdentityId.QUOTIENT_4_2, IdentityId.EQ_4_6)
     checked = 0
     for n in range(1, 21):
         for lam in enumerate_partitions(n):
             for identity in ids:
-                for outcome in check_identity(identity, lam, ws):
+                for outcome in check_identity(identity, lam):
                     assert outcome.passed, (identity, lam)
                     checked += 1
     print(f"[A8] PASS cleared corner-quotient identities ({checked} checks, "
@@ -166,7 +163,6 @@ def test_a09_monomial_oracle_and_pieri_adjointness():
 
 
 def _some_check_fails(fault: Fault) -> bool:
-    ws = Workspace(fault)
     scan = [fault.partition] + [
         lam
         for n in range(1, 9)
@@ -175,7 +171,7 @@ def _some_check_fails(fault: Fault) -> bool:
     ]
     for lam in scan:
         for identity in IdentityId:
-            if any(not o.passed for o in check_identity(identity, lam, ws)):
+            if any(not o.passed for o in check_identity(identity, lam, fault)):
                 return True
     return False
 

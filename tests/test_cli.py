@@ -1,6 +1,12 @@
+import errno
 import hashlib
+import io
 import json
 import multiprocessing
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -225,6 +231,68 @@ def test_sweep_output_unwritable(tmp_path, monkeypatch, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="no /dev/full")
+def test_sweep_output_full_device(capsys):
+    # /dev/full opens, but takes no write
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "2", "--max-n-schur", "1",
+                             "--max-n-oracle", "1", "--jobs", "1", "--output", "/dev/full")
+    assert (code, out) == (2, "")
+    assert err.startswith("error: cannot write --output /dev/full: ")
+    assert err.count("\n") == 1
+
+
+def test_sweep_output_write_failure(tmp_path, monkeypatch, capsys):
+    # an output that opens but cannot be written fails as one that cannot
+    # be opened does
+    class Full(io.StringIO):
+        def write(self, text):
+            raise OSError(errno.ENOSPC, "No space left on device")
+
+    monkeypatch.setattr(cli, "open", lambda path, mode: Full(), raising=False)
+    path = tmp_path / "report.json"
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "2", "--max-n-schur", "1",
+                             "--max-n-oracle", "1", "--jobs", "1", "--output", str(path))
+    assert (code, out) == (2, "")
+    assert err == f"error: cannot write --output {path}: No space left on device\n"
+
+
+def test_sweep_oserror_with_output_is_a_crash(tmp_path, monkeypatch, capsys):
+    # an OSError raised inside the sweep aborts it; it is not a write failure
+    def crash(config):
+        raise OSError("planted")
+
+    monkeypatch.setattr(cli, "run_sweep", crash)
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "2", "--jobs", "1",
+                             "--output", str(tmp_path / "report.json"))
+    assert (code, out) == (3, "")
+    assert err == "error: sweep aborted: OSError: planted\n"
+
+
+@pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize(
+    "argv",
+    [["example-55331"],
+     ["sweep", "--max-n", "4", "--max-n-schur", "2", "--max-n-oracle", "2", "--jobs", "1",
+      "--witnesses"]],
+    ids=["example", "sweep"],
+)
+def test_closed_stdout_exits_2(argv, unbuffered):
+    # stdout's reader is gone before the command starts, as under `| head`
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
+               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        child = subprocess.run([sys.executable, "-m", "hookshift.cli", *argv], stdout=write,
+                               stderr=subprocess.PIPE, env=env, text=True, timeout=120)
+    finally:
+        os.close(write)
+    assert child.returncode == 2
+    assert child.stderr.startswith("error: cannot write to stdout: ")
+    assert child.stderr.count("\n") == 1
+
+
 @pytest.mark.parametrize("jobs", ["1", "2"])
 def test_sweep_crash_is_reported(jobs, monkeypatch, capsys):
     if jobs != "1" and multiprocessing.get_start_method() != "fork":
@@ -294,9 +362,9 @@ def test_sweep_exit_code_on_failure(monkeypatch, capsys):
 
 def test_check_exit_code_on_failure(monkeypatch, capsys):
     fault = Fault(kind="g-factor", partition=Partition((2, 1)), index=1, delta=1)
-    from hookshift import IdentityId, Workspace, check_identity
+    from hookshift import check_identity
 
-    failing = check_identity(IdentityId.EQ_4_6, Partition((2, 1)), Workspace(fault))
+    failing = check_identity(IdentityId.EQ_4_6, Partition((2, 1)), fault)
     assert any(not o.passed for o in failing)
     monkeypatch.setattr(cli, "check_identity", lambda *a, **k: failing)
     code, out, _ = run_cli(capsys, "check", "EQ_4_6", "2,1")

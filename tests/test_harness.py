@@ -10,7 +10,6 @@ from hookshift import (
     Fault,
     IdentityId,
     Partition,
-    Workspace,
     check_identity,
     enumerate_partitions,
     harness,
@@ -198,9 +197,8 @@ def test_identity_unit_matches_check_identity(fault, capture):
         for identity in IdentityId:
             row = {"identity": identity.value, "n": n, "checked": 0, "passed": 0,
                    "failures": [], "witnesses": []}
-            ws = Workspace(fault)
             for lam in enumerate_partitions(n):
-                for outcome in check_identity(identity, lam, ws, capture=capture):
+                for outcome in check_identity(identity, lam, fault):
                     row["checked"] += 1
                     row["passed"] += outcome.passed
                     entry = outcome.to_json()

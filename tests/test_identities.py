@@ -11,7 +11,6 @@ from hookshift import (
     IdentityId,
     Partition,
     PartitionError,
-    Workspace,
     check_identity,
     corner_sets,
     enumerate_partitions,
@@ -19,7 +18,12 @@ from hookshift import (
     hook_product,
     syt_count,
 )
-from hookshift.identities import _CHECKERS, VerificationOutcome, shifted_part_constants
+from hookshift.identities import (
+    _CHECKERS,
+    VerificationOutcome,
+    Workspace,
+    shifted_part_constants,
+)
 from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
@@ -137,9 +141,9 @@ def test_corner_quotient_is_the_cancelled_quotient():
                 assert lhs == mul(g_poly(data.removals[i]), *num)
 
 
-def _thm_4_2_numerator(lam, ws):
+def _thm_4_2_numerator(lam):
     # the bare quotient numerator x * in_prod - out_prod, as THM_4_2's witness
-    (outcome,) = check_identity(IdentityId.THM_4_2, lam, ws, capture=True)
+    (outcome,) = check_identity(IdentityId.THM_4_2, lam)
     return outcome.rhs
 
 
@@ -147,17 +151,15 @@ def test_thm_4_2_numerator_degree_drops_twice():
     # both degree-(|T|+1) leading terms of x*prod_in and prod_out cancel,
     # leaving degree at most |T| - 1
     for n in range(1, 15):
-        ws = Workspace()
         for lam in enumerate_partitions(n):
             t = len(corner_sets(lam).in_corners)
-            numerator = _thm_4_2_numerator(lam, ws)
+            numerator = _thm_4_2_numerator(lam)
             assert len(numerator.coeffs) <= t, lam
 
 
 def test_route_bridge():
     # the g-route and the corner-factor route to the same cleared right side
     for n in range(1, 13):
-        ws = Workspace()
         for lam in enumerate_partitions(n):
             data = corner_sets(lam)
             g = g_poly(lam)
@@ -168,14 +170,14 @@ def test_route_bridge():
             )
             prod_in = product_of_linear_factors(lam.part(i) - i for i in data.in_corners)
             lhs = mul(X, g) - mul(linear(-n), g.shift(1))
-            assert lhs == mul(_thm_4_2_numerator(lam, ws), rest)
+            assert lhs == mul(_thm_4_2_numerator(lam), rest)
             assert g == mul(prod_in, rest)
 
 
 # --- check_identity ----------------------------------------------------------
 
 def test_smallest_case_of_the_difference_identity():
-    (outcome,) = check_identity(IdentityId.THM_1_1, Partition((1,)), capture=True)
+    (outcome,) = check_identity(IdentityId.THM_1_1, Partition((1,)))
     assert outcome.passed
     assert outcome.lhs == ONE
     assert outcome.rhs == ONE
@@ -199,11 +201,10 @@ def test_per_corner_identities_localize():
 
 
 def test_catalog_passes_exhaustively_up_to_10():
-    ws = Workspace()
     for n in range(1, 11):
         for lam in enumerate_partitions(n):
             for identity in IdentityId:
-                for outcome in check_identity(identity, lam, ws):
+                for outcome in check_identity(identity, lam):
                     assert outcome.passed, (identity, lam, outcome.to_json())
 
 
@@ -223,7 +224,7 @@ def test_reported_sides_match_first_principles():
     for n in range(1, 9):
         for lam in enumerate_partitions(n):
             for identity in IdentityId:
-                outcomes = check_identity(identity, lam, capture=True)
+                outcomes = check_identity(identity, lam)
                 assert all(o.passed for o in outcomes), (identity, lam)
                 expected = catalog_sides(identity, lam)
                 assert [(o.corner_index, o.lhs, o.rhs) for o in outcomes] == expected
@@ -233,13 +234,17 @@ def test_reported_sides_match_first_principles():
                 ], (identity, lam)
 
 
-def test_witness_capture_off_by_default_on_pass():
-    (outcome,) = check_identity(IdentityId.COR_4_4, Partition((2, 1)))
-    assert outcome.passed and outcome.lhs is None and outcome.rhs is None
+def test_every_outcome_carries_both_sides():
+    # a pass reports its sides as a failure does
+    for n in range(1, 7):
+        for lam in enumerate_partitions(n):
+            for identity in IdentityId:
+                for outcome in check_identity(identity, lam):
+                    assert outcome.lhs is not None and outcome.rhs is not None, (identity, lam)
 
 
 def test_thm_4_2_witness_is_the_bare_numerator():
-    (outcome,) = check_identity(IdentityId.THM_4_2, LAM, capture=True)
+    (outcome,) = check_identity(IdentityId.THM_4_2, LAM)
     assert outcome.passed
     assert outcome.rhs == ExactPolynomial((-75, -38, 17))
     assert outcome.to_json()["rhs"] == [[2, "17/1"], [1, "-38/1"], [0, "-75/1"]]
@@ -247,7 +252,7 @@ def test_thm_4_2_witness_is_the_bare_numerator():
 
 
 def test_corner_ratio_worked_example():
-    outcomes = check_identity(IdentityId.CORNER_RATIO_2_2, LAM, capture=True)
+    outcomes = check_identity(IdentityId.CORNER_RATIO_2_2, LAM)
     by_corner = {o.corner_index: o for o in outcomes}
     o = by_corner[4]
     assert o.passed
@@ -260,7 +265,7 @@ def test_corner_ratio_worked_example():
 
 
 def test_quotient_4_2_single_box():
-    (outcome,) = check_identity(IdentityId.QUOTIENT_4_2, Partition((1,)), capture=True)
+    (outcome,) = check_identity(IdentityId.QUOTIENT_4_2, Partition((1,)))
     assert outcome.passed
     assert outcome.lhs == mul(X, linear(-1))  # g_empty * (x+0) * (x-1)
     assert outcome.rhs == mul(X, linear(-1))
@@ -268,19 +273,19 @@ def test_quotient_4_2_single_box():
 
 def test_remark_dn_by_hand():
     # cleared by H: the single box has D(x) == 1 == f * H == 1 * 1
-    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((1,)), capture=True)
+    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((1,)))
     assert outcome.passed
     assert (outcome.lhs, outcome.rhs) == (1, 1)
     # (2,2): the fourth difference of a monic quartic is 4! == 24, and
     # f * H == 2 * 12
-    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((2, 2)), capture=True)
+    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((2, 2)))
     assert outcome.passed
     assert (outcome.lhs, outcome.rhs) == (24, 2 * 12)
     assert type(outcome.lhs) is int and type(outcome.rhs) is int
     assert outcome.to_json()["lhs"] == outcome.to_json()["rhs"] == "24/1"
     # f reads no hook length, so a hook 3 bumped to 4 shows: H = 16
     fault = Fault(kind="hook", partition=Partition((2, 2)), row=1, col=1, delta=1)
-    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((2, 2)), Workspace(fault))
+    (outcome,) = check_identity(IdentityId.REMARK_DN, Partition((2, 2)), fault)
     assert not outcome.passed
     assert (outcome.lhs, outcome.rhs) == (24, 2 * 16)
 
@@ -302,7 +307,7 @@ def test_iterated_difference_matches_binomial_sum_to_10():
             assert all(d(x) == g_value_by_factors(lam, x) for x in range(-9, 10)), lam
         for _ in range(lam.size):
             d = difference(d)
-        (outcome,) = check_identity(IdentityId.REMARK_DN, lam, ws, capture=True)
+        (outcome,) = check_identity(IdentityId.REMARK_DN, lam, ws.fault)
         assert type(outcome.lhs) is int, lam
         assert d.coeffs == (outcome.lhs,) == (factorial(lam.size),), lam
         assert outcome.passed == (ws.fault is not hook), lam
@@ -428,8 +433,7 @@ def test_g_factor_fault_changes_only_its_target():
 
 def test_hook_fault_breaks_the_difference_identity():
     fault = Fault(kind="hook", partition=Partition((3, 2)), row=1, col=1, delta=1)
-    ws = Workspace(fault)
-    (outcome,) = check_identity(IdentityId.THM_1_1, Partition((3, 2)), ws)
+    (outcome,) = check_identity(IdentityId.THM_1_1, Partition((3, 2)), fault)
     assert not outcome.passed
     assert outcome.lhs is not None and outcome.rhs is not None
 

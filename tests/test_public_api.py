@@ -17,7 +17,6 @@ PUBLIC = {
     "Partition",
     "PartitionError",
     "SweepConfig",
-    "Workspace",
     "check_identity",
     "corner_sets",
     "enumerate_partitions",

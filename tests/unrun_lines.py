@@ -1,13 +1,16 @@
 """Fail when a statement of a module in MODULES goes unrun.
 
-The polynomial, Schur and identity modules keep only what the library
-runs.  This script traces them, in one process, under every CLI command,
-a hook-faulted and a g-factor-faulted witness sweep in each output
-format, and the README's python blocks.  It then lists each statement
-inside a function that no line event reached, and exits 1 if any is
-left.  Exempt are a ``raise`` or a ``return NotImplemented`` (both end
-in an error), the body of a ``__repr__``, and the entries of ALLOWED,
-each with its reason.
+The library's six modules keep only what the library runs.  This script
+traces them, in one process, under every CLI command with each form of
+partition it parses, sweeps on one worker and on a pool, to a file, to
+an output that cannot be opened and to a stdout that takes no more, a
+hook-faulted and a g-factor-faulted witness sweep in each output format,
+a faulted fail-fast sweep, and the README's python blocks.  It then
+lists each statement inside a function, an ``except`` body's included,
+that no line event reached, and exits 1 if any is left.  Exempt are a
+``raise`` or a ``return NotImplemented`` (both end in an error), the
+body of a ``__repr__``, and the entries of ALLOWED, each with its
+reason.
 
 Run it from the repository root:
 
@@ -19,15 +22,17 @@ from __future__ import annotations
 import ast
 import contextlib
 import io
+import os
 import re
 import sys
+import tempfile
 from pathlib import Path
 
 from hookshift import Fault, IdentityId, Partition, SweepConfig, render_report, run_sweep
-from hookshift import cli, identities, polynomials, schur
+from hookshift import cli, harness, identities, partitions, polynomials, schur
 
 ROOT = Path(__file__).resolve().parent.parent
-MODULES = (polynomials, schur, identities)
+MODULES = (polynomials, schur, identities, partitions, harness, cli)
 
 # (module file, function, statement as written): why nothing here runs it
 ALLOWED = {
@@ -54,9 +59,13 @@ ALLOWED = {
         "the oracle's matrices at 1..n are totally positive, so no rows are swapped",
     ("schur.py", "schur_value", "return 0"):
         "the oracle takes n variables at degree n, so no shape has more rows than variables",
-    ("identities.py", "_serialize_witness", "return None"):
-        "only VerificationOutcome.to_json of an uncaptured pass reaches it, and no report "
-        "serializes one",
+    ("cli.py", "_cmd_sweep",
+     'print(f"error: sweep aborted: {type(exc).__name__}: {exc}", file=sys.stderr)'):
+        "only an exception raised inside a work unit aborts a sweep, and the library raises "
+        "none on a valid config",
+    ("cli.py", "_cmd_sweep", "return 3"):
+        "only an exception raised inside a work unit aborts a sweep, and the library raises "
+        "none on a valid config",
 }
 
 PARTITION = "55331"
@@ -71,13 +80,31 @@ def workload() -> None:
     commands = [
         ["hooks", PARTITION], ["gpoly", PARTITION], ["corners", PARTITION],
         ["syt", PARTITION], ["schur-lhs", "4"], ["schur-rhs", "4"], ["example-55331"],
+        ["corners", "1"],  # prints the empty removal
+        ["gpoly", "x"],  # not a partition
     ]
+    commands += [["syt", form] for form in ("5,3", "53,", "10", "0")]
     commands += [["check", i.value, PARTITION] for i in IdentityId]
     commands += [["sweep", "--max-n", "7", "--max-n-schur", "4", "--jobs", "1",
                   "--witnesses", "--format", fmt] for fmt in ("json", "csv", "text")]
-    with contextlib.redirect_stdout(io.StringIO()):
-        for argv in commands:
-            cli.main(argv)
+    # three units, so a pool starts at most three workers
+    small = ["sweep", "--max-n", "2", "--max-n-schur", "1", "--max-n-oracle", "1"]
+    with tempfile.TemporaryDirectory() as tmp:
+        commands += [small + ["--jobs", "2"], small + ["--jobs", "auto"],
+                     small + ["--jobs", "1", "--identities", "THM_1_1,COR_4_4"],
+                     small + ["--jobs", "1", "--output", f"{tmp}/report.json"],
+                     small + ["--jobs", "1", "--output", f"{tmp}/missing/report.json"]]
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            for argv in commands:
+                cli.main(argv)
+    # a stdout whose reader has gone
+    read, write = os.pipe()
+    os.close(read)
+    with open(write, "w") as closed, contextlib.redirect_stdout(closed), \
+            contextlib.redirect_stderr(io.StringIO()):
+        cli.main(["gpoly", PARTITION])
+    run_sweep(SweepConfig(max_n_identities=7, max_n_theorem_1_2=1, max_n_oracles=1,
+                          parallelism=1, fail_fast=True, fault=FAULTS[0]))
     for fault in FAULTS:
         for fmt in ("json", "csv", "text"):
             config = SweepConfig(max_n_identities=7, max_n_theorem_1_2=4, max_n_oracles=4,
@@ -117,6 +144,9 @@ def statements(tree: ast.Module):
         for child in ast.iter_child_nodes(node):
             if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
                 yield from walk(child, scope + [child.name], isinstance(child, ast.FunctionDef))
+                continue
+            if isinstance(child, ast.excepthandler):
+                yield from walk(child, scope, in_function)
                 continue
             if not isinstance(child, ast.stmt):
                 continue
