@@ -192,14 +192,17 @@ def _cmd_sweep(args) -> int:
         fail_fast=args.fail_fast,
         capture_witnesses=args.witnesses,
     )
-    # open the output before sweeping, so a bad path fails at once; an
-    # existing file keeps its contents until the new report replaces them
+    # open the output before sweeping, so a bad path fails at once; only a
+    # report replaces an existing file, and an abort removes a new one
+    created = args.output and not os.path.exists(args.output)
     sink = open(args.output, "a") if args.output else None
     with sink or contextlib.nullcontext():
         try:
             report = run_sweep(config)
         except Exception as exc:
             print(f"error: sweep aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
+            if created:
+                os.remove(args.output)
             return 3
         text = render_report(report)
         if sink:

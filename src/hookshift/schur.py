@@ -20,8 +20,9 @@ A second, independent check evaluates the identity at one point: the
 parameter x at 1/3 and n variables at 1, ..., n, with the left side
 computed from power sums and elementary values directly and each Schur
 function as a ratio of fraction-free determinants (the bialternant
-formula).  Both are scaled by 3^n n!, so the comparison is of integers.
-One point is a spot check, not a proof.
+formula), which need no pivoting (see ``det_bareiss``).  Both are scaled
+by 3^n n!, so the comparison is of integers.  One point is a spot check,
+not a proof.
 """
 
 from __future__ import annotations
@@ -182,33 +183,29 @@ def check_schur_recurrences(n: int, sides: tuple, prev: tuple) -> dict | None:
 
 def det_bareiss(matrix: list[list[int]]) -> int:
     """Exact integer determinant by fraction-free Bareiss (1968)
-    elimination: every division is exact.  The 0x0 determinant is 1."""
+    elimination without pivoting; the 0x0 determinant is 1.  The k-th
+    pivot is the k-th leading minor.  On the oracle's matrices
+    (x_i^(a_j)), with 0 < x_1 < ... < x_k and distinct a_j, every leading
+    minor is a generalized Vandermonde determinant, nonzero by Descartes'
+    rule of signs.  Elsewhere a zero pivot before the last two steps
+    makes the next exact division raise ZeroDivisionError, and a later
+    one leaves the determinant as the value: no value returned is wrong."""
     m = [list(row) for row in matrix]
-    size = len(m)
-    sign, prev = 1, 1
-    for k in range(size):
-        pivot = next((r for r in range(k, size) if m[r][k]), None)
-        if pivot is None:
-            return 0
-        if pivot != k:
-            m[k], m[pivot] = m[pivot], m[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
+    prev = 1
+    for k in range(len(m)):
+        for i in range(k + 1, len(m)):
+            for j in range(k + 1, len(m)):
                 m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
         prev = m[k][k]
-    return sign * prev
+    return prev
 
 
 def schur_value(lam: Partition, xs: tuple[int, ...]) -> int:
-    """s_lam at the distinct integers xs by the bialternant formula
-    (Macdonald I.3): det(x_i^(lam_j + k - j)) / det(x_i^(k - j)) with k
-    variables, an exact integer quotient.  The denominator is the
-    Vandermonde determinant, the product of x_i - x_j over i < j.  Zero
-    when lam has more than k rows."""
+    """s_lam at the integers 0 < x_1 < ... < x_k, for lam of at most k
+    rows (a partition of n has at most n), by the bialternant formula
+    (Macdonald I.3): det(x_i^(lam_j + k - j)) over the Vandermonde
+    determinant det(x_i^(k - j)) = prod over i < j of (x_i - x_j)."""
     k = len(xs)
-    if len(lam) > k:
-        return 0
     num = det_bareiss([[x ** (lam.part(j) + k - j) for j in range(1, k + 1)] for x in xs])
     return num // prod(a - b for i, a in enumerate(xs) for b in xs[i + 1:])
 

@@ -201,6 +201,18 @@ def catalog_sides(identity, lam):
     return [(None, sum(Fraction(h, hm) for hm in mu_h), n)]
 
 
+def det_leibniz(matrix):
+    """The determinant as the sum over permutations p of sign(p) times
+    prod_i m[i][p(i)], the sign from p's inversions: no elimination, so
+    no pivot can be zero.  The 0x0 determinant is 1."""
+    n = len(matrix)
+    total = 0
+    for p in permutations(range(n)):
+        inversions = sum(p[i] > p[j] for i in range(n) for j in range(i + 1, n))
+        total += (-1) ** inversions * prod(row[c] for row, c in zip(matrix, p))
+    return total
+
+
 def elementary_value(m, xs):
     """e_m at the values xs, summed over m-subsets directly."""
     from itertools import combinations

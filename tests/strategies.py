@@ -19,6 +19,15 @@ def partitions(draw, min_size=0, max_size=10):
     return Partition(parts)
 
 
+@st.composite
+def integer_matrices(draw):
+    """Square matrices of size 0 to 5 with entries in -2..2, small enough
+    that zero pivots and singular matrices are common."""
+    size = draw(st.integers(min_value=0, max_value=5))
+    row = st.lists(st.integers(-2, 2), min_size=size, max_size=size)
+    return draw(st.lists(row, min_size=size, max_size=size))
+
+
 small_rationals = st.fractions(
     min_value=-8, max_value=8, max_denominator=6
 ).map(lambda f: f.numerator if f.denominator == 1 else Fraction(f))

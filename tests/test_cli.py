@@ -268,6 +268,23 @@ def test_sweep_oserror_with_output_is_a_crash(tmp_path, monkeypatch, capsys):
     assert err == "error: sweep aborted: OSError: planted\n"
 
 
+@pytest.mark.parametrize("before", [None, b"kept\n"], ids=["new", "existing"])
+def test_aborted_sweep_leaves_the_output_as_it_was(before, tmp_path, monkeypatch, capsys):
+    # the output is opened before the sweep; an abort removes the file
+    # only if the sweep created it
+    def crash(config):
+        raise RuntimeError("planted")
+
+    monkeypatch.setattr(cli, "run_sweep", crash)
+    path = tmp_path / "report.json"
+    if before is not None:
+        path.write_bytes(before)
+    code, out, err = run_cli(capsys, "sweep", "--max-n", "2", "--jobs", "1",
+                             "--output", str(path))
+    assert (code, out, err) == (3, "", "error: sweep aborted: RuntimeError: planted\n")
+    assert (path.read_bytes() if path.exists() else None) == before
+
+
 @pytest.mark.parametrize("unbuffered", ["", "1"], ids=["buffered", "unbuffered"])
 @pytest.mark.parametrize(
     "argv",

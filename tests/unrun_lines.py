@@ -5,7 +5,9 @@ traces them, in one process, under every CLI command with each form of
 partition it parses, sweeps on one worker and on a pool, to a file, to
 an output that cannot be opened and to a stdout that takes no more, a
 hook-faulted and a g-factor-faulted witness sweep in each output format,
-a faulted fail-fast sweep, and the README's python blocks.  It then
+a faulted fail-fast sweep, two Schur passes with a wrong right side
+planted at degree 3, a sweep to a new file aborted by an exception
+planted in a work unit, and the README's python blocks.  It then
 lists each statement inside a function, an ``except`` body's included,
 that no line event reached, and exits 1 if any is left.  Exempt are a
 ``raise`` or a ``return NotImplemented`` (both end in an error), the
@@ -27,9 +29,11 @@ import re
 import sys
 import tempfile
 from pathlib import Path
+from unittest import mock
 
 from hookshift import Fault, IdentityId, Partition, SweepConfig, render_report, run_sweep
 from hookshift import cli, harness, identities, partitions, polynomials, schur
+from hookshift.polynomials import ExactPolynomial
 
 ROOT = Path(__file__).resolve().parent.parent
 MODULES = (polynomials, schur, identities, partitions, harness, cli)
@@ -44,28 +48,6 @@ ALLOWED = {
         "the commands print only polynomials with integer coefficients",
     ("polynomials.py", "times_linear_factors", "return p"):
         "the library multiplies only nonzero polynomials by linear factors",
-    ("schur.py", "check_theorem_1_2",
-     'return {"lhs": json.dumps(serialize_side(uncleared(lhs, n))),'):
-        "only a wrong side reaches a witness, and no fault reaches the Schur pass",
-    ("schur.py", "check_schur_recurrences", "return {"):
-        "only a wrong side reaches a witness, and no fault reaches the Schur pass",
-    ("schur.py", "check_at_point", "return False"):
-        "only a wrong side fails the spot check, and no fault reaches the Schur pass",
-    ("schur.py", "det_bareiss", "return 0"):
-        "the oracle's matrices at 1..n are totally positive, so no column lacks a pivot",
-    ("schur.py", "det_bareiss", "m[k], m[pivot] = m[pivot], m[k]"):
-        "the oracle's matrices at 1..n are totally positive, so no pivot is zero",
-    ("schur.py", "det_bareiss", "sign = -sign"):
-        "the oracle's matrices at 1..n are totally positive, so no rows are swapped",
-    ("schur.py", "schur_value", "return 0"):
-        "the oracle takes n variables at degree n, so no shape has more rows than variables",
-    ("cli.py", "_cmd_sweep",
-     'print(f"error: sweep aborted: {type(exc).__name__}: {exc}", file=sys.stderr)'):
-        "only an exception raised inside a work unit aborts a sweep, and the library raises "
-        "none on a valid config",
-    ("cli.py", "_cmd_sweep", "return 3"):
-        "only an exception raised inside a work unit aborts a sweep, and the library raises "
-        "none on a valid config",
 }
 
 PARTITION = "55331"
@@ -97,6 +79,11 @@ def workload() -> None:
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             for argv in commands:
                 cli.main(argv)
+            # an exception inside a work unit aborts the sweep, and removes
+            # the output file that the sweep created
+            with mock.patch.object(harness, "enumerate_partitions",
+                                   side_effect=RuntimeError("planted")):
+                cli.main(small + ["--jobs", "1", "--output", f"{tmp}/aborted.json"])
     # a stdout whose reader has gone
     read, write = os.pipe()
     os.close(read)
@@ -111,9 +98,30 @@ def workload() -> None:
                                  parallelism=1, output_format=fmt, capture_witnesses=True,
                                  fault=fault)
             render_report(run_sweep(config))
+    # no fault reaches the Schur pass, so plant a wrong right side at
+    # degree 3: a constant fails all three checks, an x^4 term the spot
+    # check's degree guard
+    for error in (ExactPolynomial((1,)), ExactPolynomial((0, 0, 0, 0, 1))):
+        with mock.patch.object(harness, "schur_rhs", planted_rhs(error)):
+            run_sweep(SweepConfig(max_n_identities=1, max_n_theorem_1_2=4, max_n_oracles=4,
+                                  parallelism=1))
     namespace: dict = {}
     for block in re.findall(r"```python\n(.*?)```", (ROOT / "README.md").read_text(), re.S):
         exec(compile(block, "README.md", "exec"), namespace)
+
+
+def planted_rhs(error):
+    """harness.schur_rhs with ``error`` added to one coefficient at degree 3."""
+    schur_rhs = harness.schur_rhs
+
+    def planted(n):
+        side = schur_rhs(n)
+        if n == 3:
+            lam = next(iter(side))
+            side[lam] += error
+        return side
+
+    return planted
 
 
 def traced_lines(paths: set[str]) -> set[tuple[str, int]]:
