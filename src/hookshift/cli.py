@@ -19,7 +19,6 @@ from fractions import Fraction
 from .harness import SweepConfig, render_report, run_sweep
 from .identities import IdentityId, check_identity, g_poly
 from .partitions import (
-    Partition,
     corner_sets,
     hook_length,
     hook_lengths,
@@ -41,25 +40,32 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("hooks", help="hook-length grid and hook product")
     p.add_argument("partition")
+    p.set_defaults(run=_cmd_hooks)
 
     p = sub.add_parser("gpoly", help="the shifted-parts g-polynomial")
     p.add_argument("partition")
+    p.set_defaults(run=_print_of_partition, of=g_poly)
 
     p = sub.add_parser("corners", help="in/out corner rows and removals")
     p.add_argument("partition")
+    p.set_defaults(run=_cmd_corners)
 
     p = sub.add_parser("syt", help="number of standard Young tableaux")
     p.add_argument("partition")
+    p.set_defaults(run=_print_of_partition, of=syt_count)
 
     p = sub.add_parser("schur-lhs", help="binomial/elementary side of the Schur identity")
     p.add_argument("n", type=int)
+    p.set_defaults(run=_cmd_schur_side, side=schur_lhs)
 
     p = sub.add_parser("schur-rhs", help="hook/g side of the Schur identity")
     p.add_argument("n", type=int)
+    p.set_defaults(run=_cmd_schur_side, side=schur_rhs)
 
     p = sub.add_parser("check", help="check one identity at one partition")
     p.add_argument("identity", metavar="identity-id")
     p.add_argument("partition")
+    p.set_defaults(run=_cmd_check)
 
     p = sub.add_parser("sweep", help="verify the catalog over all partitions up to a bound")
     p.add_argument("--max-n", type=int, default=25, help="identity sweep bound (default 25)")
@@ -76,8 +82,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--witnesses", action="store_true",
                    help="record witnesses for passing checks too")
     p.add_argument("--output", default=None, help="write the report here instead of stdout")
+    p.set_defaults(run=_cmd_sweep)
 
-    sub.add_parser("example-55331", help="worked example for the partition 5,5,3,3,1")
+    p = sub.add_parser("example-55331", help="worked example for the partition 5,5,3,3,1")
+    p.set_defaults(run=_cmd_example)
 
     return parser
 
@@ -86,7 +94,7 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        code = _dispatch(args)
+        code = args.run(args)
         sys.stdout.flush()  # so that a failing write shows here, not at exit
         return code
     except ValueError as exc:
@@ -104,36 +112,14 @@ def main(argv=None) -> int:
     return 2
 
 
-def _dispatch(args) -> int:
-    cmd = args.command
-    if cmd == "hooks":
-        return _cmd_hooks(parse_partition(args.partition))
-    if cmd == "gpoly":
-        print(g_poly(parse_partition(args.partition)))
-        return 0
-    if cmd == "corners":
-        return _cmd_corners(parse_partition(args.partition))
-    if cmd == "syt":
-        print(syt_count(parse_partition(args.partition)))
-        return 0
-    if cmd in ("schur-lhs", "schur-rhs"):
-        # the side as the paper states it, not cleared by n!
-        side = (schur_lhs if cmd == "schur-lhs" else schur_rhs)(args.n)
-        print(json.dumps(serialize_side(uncleared(side, args.n)), indent=2))
-        return 0
-    if cmd == "check":
-        return _cmd_check(args)
-    if cmd == "sweep":
-        return _cmd_sweep(args)
-    if cmd == "example-55331":
-        return _cmd_example()
-    raise AssertionError(cmd)
-
-
-def _cmd_hooks(lam: Partition) -> int:
+def _print_hooks(lam, indent="", name="H") -> None:
     for row in hook_lengths(lam):
-        print(" ".join(str(h) for h in row))
-    print(f"H = {hook_product(lam)}")
+        print(indent + " ".join(map(str, row)))
+    print(f"{indent}{name} = {hook_product(lam)}")
+
+
+def _cmd_hooks(args) -> int:
+    _print_hooks(parse_partition(args.partition))
     return 0
 
 
@@ -141,8 +127,19 @@ def _fmt_rows(rows) -> str:
     return "{" + ",".join(str(i) for i in rows) + "}"
 
 
-def _cmd_corners(lam: Partition) -> int:
-    data = corner_sets(lam)
+def _print_of_partition(args) -> int:
+    print(args.of(parse_partition(args.partition)))
+    return 0
+
+
+def _cmd_schur_side(args) -> int:
+    # the side as the paper states it, not cleared by n!
+    print(json.dumps(serialize_side(uncleared(args.side(args.n), args.n)), indent=2))
+    return 0
+
+
+def _cmd_corners(args) -> int:
+    data = corner_sets(parse_partition(args.partition))
     print(f"T={_fmt_rows(data.in_corners)}")
     print(f"B={_fmt_rows(data.out_corners)}")
     for i in data.in_corners:
@@ -156,8 +153,7 @@ def _cmd_check(args) -> int:
     except ValueError:
         raise ValueError(f"unknown identity id {args.identity!r}; one of "
                          + ", ".join(i.value for i in IdentityId)) from None
-    lam = parse_partition(args.partition)
-    outcomes = check_identity(identity, lam)
+    outcomes = check_identity(identity, parse_partition(args.partition))
     for o in outcomes:
         corner = f" corner={o.corner_index}" if o.corner_index is not None else ""
         print(f"{o.status.upper()} {o.identity} {o.partition}{corner} "
@@ -192,25 +188,31 @@ def _cmd_sweep(args) -> int:
         fail_fast=args.fail_fast,
         capture_witnesses=args.witnesses,
     )
-    # open the output before sweeping, so a bad path fails at once; only a
-    # report replaces an existing file, and an abort removes a new one
+    # open the output first, so a bad path fails at once; only a report
+    # replaces an existing file, and only a whole one keeps a new file
     created = args.output and not os.path.exists(args.output)
     sink = open(args.output, "a") if args.output else None
-    with sink or contextlib.nullcontext():
-        try:
-            report = run_sweep(config)
-        except Exception as exc:
-            print(f"error: sweep aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
-            if created:
+    code = 3
+    try:
+        with sink or contextlib.nullcontext():
+            try:
+                report = run_sweep(config)
+            except Exception as exc:
+                print(f"error: sweep aborted: {type(exc).__name__}: {exc}", file=sys.stderr)
+                return 3
+            text = render_report(report)
+            if sink:
+                sink.truncate(0)
+                sink.write(text)
+            else:
+                print(text, end="" if text.endswith("\n") else "\n")
+        code = 0 if report.all_passed else 1
+    finally:
+        # an abort, or a failed write or close: report that, not the removal
+        if created and code == 3:
+            with contextlib.suppress(OSError):
                 os.remove(args.output)
-            return 3
-        text = render_report(report)
-        if sink:
-            sink.truncate(0)
-            sink.write(text)
-        else:
-            print(text, end="" if text.endswith("\n") else "\n")
-    return 0 if report.all_passed else 1
+    return code
 
 
 def _product_str(factors) -> str:
@@ -222,7 +224,7 @@ def _linear_product_str(constants) -> str:
     return _product_str(ExactPolynomial((c, 1)) for c in constants)
 
 
-def _cmd_example() -> int:
+def _cmd_example(args) -> int:
     lam = parse_partition("55331")
     n = lam.size
     corner_row = 4
@@ -232,14 +234,10 @@ def _cmd_example() -> int:
     print(f"partition 5,5,3,3,1 of n = {n}")
     print()
     print("hook lengths:")
-    for row in hook_lengths(lam):
-        print("  " + " ".join(str(h) for h in row))
-    print(f"  H = {hook_product(lam)}")
+    _print_hooks(lam, "  ")
     print()
     print(f"after removing the corner box in row {corner_row} ({mu}):")
-    for row in hook_lengths(mu):
-        print("  " + " ".join(str(h) for h in row))
-    print(f"  H' = {hook_product(mu)}")
+    _print_hooks(mu, "  ", "H'")
     print()
 
     changed = [c for c in lam.cells()

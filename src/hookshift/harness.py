@@ -2,7 +2,7 @@
 bound, in parallel, and emit deterministic machine-readable reports.
 
 The work unit is one size n over all selected identities: a worker
-enumerates the partitions of n once and runs each distinct check on
+enumerates the partitions of n once and runs each identity's check on
 each, through one Workspace that builds each partition's data once and
 is dropped with the unit.  Only bounds and the fault cross process
 boundaries, and a unit returns one row per identity.  The Schur
@@ -152,18 +152,8 @@ def _identity_unit(
     n: int, identities: tuple[IdentityId, ...], fault: Fault | None, capture: bool
 ) -> list[dict]:
     ws = Workspace(fault)
-    rows = []
-    # each distinct check runs once per context; REC_1_2, REC_1_3 and
-    # COR_4_4 share one, and each of its readers reports it its own way
-    readers_of: dict = {}
-    for identity in identities:
-        check, report = _CHECKERS[identity]
-        row = {"identity": identity.value, "n": n, "checked": 0, "passed": 0,
-               "failures": [], "witnesses": []}
-        rows.append(row)
-        readers_of.setdefault(check, []).append((identity.value, report, row))
-    plan = list(readers_of.items())
-    checked = [0] * len(plan)
+    rows = [{"identity": identity.value, "n": n, "checked": 0, "passed": 0,
+             "failures": [], "witnesses": []} for identity in identities]
     # the unit proves its own coverage: a strictly decreasing run of p(n)
     # partitions of n is every partition of n, each once
     lams = list(enumerate_partitions(n))
@@ -173,26 +163,24 @@ def _identity_unit(
         raise RuntimeError(f"enumerated {len(lams)} partitions of {n}, not p({n}) = {partition_count(n)}")
     for lam in lams:
         ctx = ws.context(lam)
-        for k, (check, readers) in enumerate(plan):
+        for identity, row in zip(identities, rows):
+            check, report = _CHECKERS[identity]
             results = check(ctx)
-            checked[k] += len(results)
+            row["checked"] += len(results)
             for corner, lhs, rhs in results:
-                if (ok := lhs == rhs) and not capture:
+                # no check passes on 0 == 0 (see hookshift.identities)
+                if (ok := lhs == rhs != 0) and not capture:
                     continue
-                for value, report, row in readers:
-                    entry = VerificationOutcome(
-                        value, lam, corner, "pass" if ok else "fail", *report(ctx, lhs, rhs)
-                    ).to_json()
-                    if ok:
-                        row["witnesses"].append(entry)
-                    else:
-                        del entry["status"]
-                        row["failures"].append(entry)
-    # a check's results are its passes and its failures
-    for (_, readers), count in zip(plan, checked):
-        for _, _, row in readers:
-            row["checked"] = count
-            row["passed"] = count - len(row["failures"])
+                entry = VerificationOutcome(
+                    identity.value, lam, corner, "pass" if ok else "fail", *report(ctx, lhs, rhs)
+                ).to_json()
+                if ok:
+                    row["witnesses"].append(entry)
+                else:
+                    del entry["status"]
+                    row["failures"].append(entry)
+    for row in rows:
+        row["passed"] = row["checked"] - len(row["failures"])
     return rows
 
 

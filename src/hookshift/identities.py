@@ -38,6 +38,20 @@ the lowest nonzero coefficient d of P - Q, at x**j, would give
 divide d; but 0 < |d| <= ||P - Q||_1 < X.  So comparing the two values
 decides the polynomial identity exactly; a report reads a side back as
 a polynomial from its balanced base-X digits.
+
+No check passes on two zero sides: a comparison passes only when its
+sides are equal and nonzero, so a bug that zeroes a side fails the sweep
+by itself.  No context, clean or under one fault, has two zero sides.
+Every hook product, f = syt_count and hook weight is positive, and so
+are n * prod H_mu (REC_1_2, REC_1_3, COR_4_4) and f * H (REMARK_DN).  g
+stays monic of degree n, so g(x+1) - g(x) has leading coefficient n
+(THM_1_1).  At x = -(part(i) - i) the corner sum is row i's weight times
+nonzero factors, as those constants are distinct (THM_4_1, THM_4_2).
+QUOTIENT_4_2 and EQ_4_6 compare products of monic linear factors.
+CORNER_RATIO_2_2's g-values sit off every root, as the shifted parts
+part(j) - j strictly decrease and row i is a corner, and a fault touches
+one of its sides only.  A nonzero polynomial's value at X is nonzero, as
+X cannot divide its lowest nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -212,6 +226,8 @@ class PartitionContext:
     where g's i-th factor is also g(x+1)'s (i+1)-th and every removal's
     i-th.  Unfaulted, that is every row but the k in-corner rows, so
     about k + 1 factors stay in g and g(x+1), and k in each removal's g.
+    ``weights`` holds each removal's hook weight, H/H_mu cleared by
+    ``mu_h_prod``, which THM_1_1, the hook sum and ``corner_sum`` read.
     ``in_prod`` and ``out_prod`` are the products of (x + part(i) - i)
     over the in-corner rows, whose constants are ``in_constants``, and of
     (x + part(i) - i + 1) over the out-corner rows; ``corner_sum`` is the
@@ -236,6 +252,7 @@ class PartitionContext:
     mu_constants: tuple[list[int], ...]
     mu_g: tuple[int, ...]
     mu_h_prod: int
+    weights: tuple[int, ...]
     in_prod: int
     out_prod: int
     corner_sum: int
@@ -306,6 +323,7 @@ class Workspace:
         unshared = [k for k, col in enumerate(zip(c, [b + 1 for b in c[1:]], *mu_c))
                 if col.count(col[0]) < m]
         big = prod(mu_h)
+        weights = tuple(h * (big // h_mu) for h_mu in mu_h)
         k = len(mu_h)
         # X > 2 * max(k, 2) * h * big * B**(u + k + 2), the bound of the
         # module docstring; B covers every constant compared, shifted by 1
@@ -315,8 +333,8 @@ class Workspace:
         # corner_sum gains one term per in-corner row while in_prod gains
         # that row's factor (x + a), which every earlier term also takes
         p, s = 1, 0
-        for a, h_mu in zip(in_constants, mu_h):
-            s = s * (x + a) + h * (big // h_mu) * p
+        for a, w in zip(in_constants, weights):
+            s = s * (x + a) + w * p
             p *= x + a
         return PartitionContext(
             lam,
@@ -335,6 +353,7 @@ class Workspace:
             mu_c,
             tuple(prod(map(x.__add__, [c_mu[k] for k in unshared])) for c_mu in mu_c),
             big,
+            weights,
             p,
             prod(map(x.__add__, out_constants)),
             s,
@@ -342,17 +361,15 @@ class Workspace:
 
 
 def _check_thm_1_1(ctx: PartitionContext):
-    big = ctx.mu_h_prod
-    rhs = sum(ctx.h * (big // h) * g_mu for h, g_mu in zip(ctx.mu_h, ctx.mu_g))
-    return [(None, (ctx.g_next - ctx.g) * big, rhs)]
+    rhs = sum(w * g_mu for w, g_mu in zip(ctx.weights, ctx.mu_g))
+    return [(None, (ctx.g_next - ctx.g) * ctx.mu_h_prod, rhs)]
 
 
 def _cleared_hook_sum(ctx: PartitionContext):
     """n / H == sum of 1 / H_mu, cleared by H and the product of the H_mu.
     Every hook product is positive, so REC_1_2 (divided by (n-1)!) and
     COR_4_4 (divided by H) hold exactly when these two are equal."""
-    big = ctx.mu_h_prod
-    return [(None, ctx.n * big, ctx.h * sum(big // h for h in ctx.mu_h))]
+    return [(None, ctx.n * ctx.mu_h_prod, sum(ctx.weights))]
 
 
 def _check_remark_dn(ctx: PartitionContext):
@@ -421,9 +438,9 @@ def _hook_ratio_sum(ctx: PartitionContext, lhs, rhs):
 
 
 def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):
-    # the right side becomes the bare quotient numerator
-    return (ctx.decode(lhs) * Fraction(1, ctx.mu_h_prod),
-            ctx.decode(rhs) * Fraction(1, ctx.mu_h_prod))
+    # the right side becomes the bare quotient numerator; a zero product,
+    # which only a bug makes, stays in, so that the failure is reported
+    return tuple(ctx.decode(v) * Fraction(1, ctx.mu_h_prod or 1) for v in (lhs, rhs))
 
 
 # each identity's check, returning (corner, lhs, rhs) with the sides as
@@ -453,6 +470,6 @@ def check_identity(identity: IdentityId, lam: Partition,
         raise PartitionError(f"{identity.value} needs a nonempty partition")
     ctx = Workspace(fault).context(lam)
     check, report = _CHECKERS[identity]
-    return [VerificationOutcome(identity.value, lam, corner, "pass" if lhs == rhs else "fail",
-                                *report(ctx, lhs, rhs))
+    return [VerificationOutcome(identity.value, lam, corner,
+                                "pass" if lhs == rhs != 0 else "fail", *report(ctx, lhs, rhs))
             for corner, lhs, rhs in check(ctx)]

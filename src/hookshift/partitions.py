@@ -98,11 +98,7 @@ class CornerData:
 
 
 def _reads_as_compact(digits: str) -> bool:
-    return (
-        len(digits) > 1
-        and "0" not in digits
-        and all(digits[i] >= digits[i + 1] for i in range(len(digits) - 1))
-    )
+    return len(digits) > 1 and "0" not in digits and all(map(str.__ge__, digits, digits[1:]))
 
 
 def parse_partition(text: str) -> Partition:
@@ -120,12 +116,10 @@ def parse_partition(text: str) -> Partition:
         tokens = text.split(",")
         if tokens[-1] == "":
             tokens.pop()  # trailing comma: single-part form like "53,"
-        parts = []
         for tok in tokens:
             if not tok.isdigit():
                 raise PartitionError(f"non-numeric part {tok!r} in {text!r}")
-            parts.append(int(tok))
-        return Partition(parts)
+        return Partition(map(int, tokens))
     if not text.isdigit():
         raise PartitionError(f"not a partition string: {text!r}")
     if _reads_as_compact(text):

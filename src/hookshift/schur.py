@@ -23,6 +23,10 @@ function as a ratio of fraction-free determinants (the bialternant
 formula), which need no pivoting (see ``det_bareiss``).  Both are scaled
 by 3^n n!, so the comparison is of integers.  One point is a spot check,
 not a proof.
+
+The pass needs no rule against zero sides: the right side must have
+p(n) terms, `equality` ties the left side to it, and the oracle's direct
+value is a sum of positive terms.
 """
 
 from __future__ import annotations
@@ -158,6 +162,10 @@ def check_schur_recurrences(n: int, sides: tuple, prev: tuple) -> dict | None:
     side in prev.  Divided by n!, this is the paper's recurrence: each
     side equals its own x -> x-1 substitution plus p1 times the side one
     degree lower.
+
+    An error in T_n constant in x cancels in T_n(x) - T_n(x-1): only the
+    degree n+1 recurrences see it, so at a pass's top degree only
+    `equality` and the oracle, where it runs, can.
 
     Substitution acts coefficient-wise through polynomial shift by -1.
     The expected side drops its zero coefficients, so that dict equality

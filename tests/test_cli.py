@@ -256,6 +256,36 @@ def test_sweep_output_write_failure(tmp_path, monkeypatch, capsys):
     assert err == f"error: cannot write --output {path}: No space left on device\n"
 
 
+def _child_env():
+    src = str(Path(cli.__file__).resolve().parents[1])
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+
+
+def _small_files():
+    # a file of the child's grows to 64 bytes at most; a write past that
+    # fails with EFBIG instead of killing the child
+    import resource
+    import signal
+
+    signal.signal(signal.SIGXFSZ, signal.SIG_IGN)
+    resource.setrlimit(resource.RLIMIT_FSIZE, (64, 64))
+
+
+@pytest.mark.skipif(sys.platform == "win32", reason="needs RLIMIT_FSIZE")
+def test_sweep_output_failing_partway_leaves_no_new_file(tmp_path):
+    # the write fails after the first 64 bytes of the report reached the
+    # file the sweep created, which must not stay behind
+    path = tmp_path / "report.json"
+    child = subprocess.run(
+        [sys.executable, "-m", "hookshift.cli", "sweep", "--max-n", "3", "--max-n-schur", "1",
+         "--max-n-oracle", "1", "--jobs", "1", "--output", str(path)],
+        capture_output=True, env=_child_env(), preexec_fn=_small_files, text=True, timeout=120)
+    assert (child.returncode, child.stdout) == (2, "")
+    assert child.stderr == f"error: cannot write --output {path}: File too large\n"
+    assert not path.exists()
+
+
 def test_sweep_oserror_with_output_is_a_crash(tmp_path, monkeypatch, capsys):
     # an OSError raised inside the sweep aborts it; it is not a write failure
     def crash(config):
@@ -295,9 +325,7 @@ def test_aborted_sweep_leaves_the_output_as_it_was(before, tmp_path, monkeypatch
 )
 def test_closed_stdout_exits_2(argv, unbuffered):
     # stdout's reader is gone before the command starts, as under `| head`
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONUNBUFFERED=unbuffered,
-               PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    env = dict(_child_env(), PYTHONUNBUFFERED=unbuffered)
     read, write = os.pipe()
     os.close(read)
     try:

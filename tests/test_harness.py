@@ -1,3 +1,4 @@
+import dataclasses
 import gc
 import hashlib
 import json
@@ -11,6 +12,7 @@ from hookshift import (
     IdentityId,
     Partition,
     check_identity,
+    cli,
     enumerate_partitions,
     harness,
     identities,
@@ -25,6 +27,7 @@ from hookshift.harness import (
     render_report,
     run_sweep,
 )
+from hookshift.polynomials import ExactPolynomial
 
 
 def small_config(**kw):
@@ -211,25 +214,57 @@ def test_identity_unit_matches_check_identity(fault, capture):
         assert _identity_unit(n, tuple(IdentityId), fault, capture) == expected, n
 
 
-def test_identity_unit_runs_each_distinct_check_once_per_partition(monkeypatch):
-    # REC_1_2, REC_1_3 and COR_4_4 share one check; the unit runs it once
-    # per context and each of the three reports it
+def test_identity_unit_runs_each_check_once_per_identity_and_partition(monkeypatch):
+    # each selected identity's check runs once per context, REC_1_2, REC_1_3
+    # and COR_4_4 included, though they share one check function
     before = {n: _identity_unit(n, tuple(IdentityId), None, True) for n in range(1, 8)}
     calls = Counter()
-    counted = {}
     for identity, (check, report) in list(identities._CHECKERS.items()):
-        if check not in counted:
-            def counting(ctx, check=check):
-                calls[check, ctx.lam] += 1
-                return check(ctx)
+        def counting(ctx, identity=identity, check=check):
+            calls[identity, ctx.lam] += 1
+            return check(ctx)
 
-            counted[check] = counting
-        monkeypatch.setitem(identities._CHECKERS, identity, (counted[check], report))
-    assert len(counted) == 8
+        monkeypatch.setitem(identities._CHECKERS, identity, (counting, report))
     for n in range(1, 8):
         assert _identity_unit(n, tuple(IdentityId), None, True) == before[n], n
-    assert calls == {(check, lam): 1 for check in counted
+    assert calls == {(identity, lam): 1 for identity in IdentityId
                      for n in range(1, 8) for lam in enumerate_partitions(n)}
+    # an identity left out of the selection runs nothing
+    calls.clear()
+    chosen = (IdentityId.REC_1_3, IdentityId.THM_4_2)
+    _identity_unit(6, chosen, None, False)
+    assert calls == {(identity, lam): 1 for identity in chosen for lam in enumerate_partitions(6)}
+
+
+# The six identities whose sides all carry the product of the removals'
+# hook products, through mu_h_prod, the weights or corner_sum
+HOOK_WEIGHTED = {"THM_1_1", "REC_1_2", "REC_1_3", "THM_4_1", "THM_4_2", "COR_4_4"}
+
+
+def test_zero_sides_fail(monkeypatch, capsys):
+    # a zero product of the removals' hook products, as a bug in
+    # Workspace.context could make, turns six comparisons into 0 == 0;
+    # the sweep itself must fail them, with no help from a test
+    context = identities.Workspace.context
+
+    def zeroed(self, lam):
+        ctx = context(self, lam)
+        return dataclasses.replace(ctx, mu_h_prod=0, weights=(0,) * len(ctx.weights),
+                                   corner_sum=0)
+
+    monkeypatch.setattr(identities.Workspace, "context", zeroed)
+    per = run_sweep(small_config(max_n_identities=6)).per_identity()
+    for identity, agg in per.items():
+        assert agg["passed"] == (0 if identity in HOOK_WEIGHTED else agg["checked"]), identity
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            for identity in IdentityId:
+                for outcome in check_identity(identity, lam):
+                    assert outcome.passed != (identity.value in HOOK_WEIGHTED), (identity, lam)
+    assert cli.main(["sweep", "--max-n", "10", "--max-n-schur", "3", "--jobs", "1",
+                     "--format", "text"]) == 1
+    out = capsys.readouterr().out
+    assert "totals: checked 1683, passed 855, failed 828\n" in out
 
 
 def test_report_deterministic_across_runs():
@@ -359,6 +394,30 @@ def test_oracle_catches_term_maps_wrong_the_same_way(monkeypatch):
         assert row["equality"] == "pass", n
         assert row["recurrences"] == (None if n == 0 else "pass"), n
         assert row["oracle"] == "fail", n
+
+
+@pytest.mark.parametrize("degree", [9, 8])
+def test_recurrences_miss_an_error_constant_in_x(degree, monkeypatch):
+    # 1 added to one coefficient of the degree-n right side cancels in
+    # T_n(x) - T_n(x-1), so the degree-n recurrence passes; the degree
+    # n + 1 recurrence sees it through its previous side.  At the top
+    # degree, past the oracle's bound, only equality fails.
+    rhs = schur.schur_rhs
+
+    def planted(n):
+        side = rhs(n)
+        if n == degree:
+            lam = next(iter(side))
+            side[lam] = side[lam] + ExactPolynomial((1,))
+        return side
+
+    monkeypatch.setattr(harness, "schur_rhs", planted)
+    rows = _theorem_unit(9, 8)
+    assert [row["n"] for row in rows if _task_failed(row)] == list(range(degree, 10))
+    assert (rows[degree]["equality"], rows[degree]["recurrences"]) == ("fail", "pass")
+    assert rows[degree]["oracle"] == (None if degree == 9 else "fail")
+    if degree < 9:
+        assert (rows[9]["equality"], rows[9]["recurrences"]) == ("pass", "fail")
 
 
 def test_sweep_builds_each_schur_side_once(monkeypatch):

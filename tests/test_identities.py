@@ -38,6 +38,7 @@ from oracles import (
     difference,
     full_polynomial_sides,
     g_value_by_factors,
+    hook_by_box_count,
     linear,
     mul,
 )
@@ -456,6 +457,35 @@ def test_unfaulted_workspace_matches_pure_functions():
             num = [linear(lam.part(i) - i + 1) for i in ctx.corners.out_corners]
             assert (ctx.decode(ctx.in_prod), ctx.decode(ctx.out_prod)) == (mul(*den), mul(*num))
             assert ctx.decode(ctx.corner_sum) == cleared_corner_sum(den, ctx.h, ctx.mu_h)
+
+
+def _hook_product_by_boxes(lam, fault):
+    """The hook product from box-counted hooks, with a hook fault's delta
+    added at its cell."""
+    bump = {(fault.row, fault.col): fault.delta} if fault and fault.partition == lam else {}
+    return prod(hook_by_box_count(lam, c) + bump.get(c, 0) for c in lam.cells())
+
+
+@pytest.mark.parametrize(
+    "fault",
+    [None, Fault(kind="hook", partition=Partition((3, 2)), row=1, col=2, delta=2)],
+    ids=["clean", "hook-fault-on-a-removal"],
+)
+def test_weights_are_the_other_removals_hook_products(fault):
+    # removal i's weight is h times every removal's hook product but its own
+    reached = set()
+    for n in range(1, 11):
+        ws = Workspace(fault)
+        for lam in enumerate_partitions(n):
+            ctx = ws.context(lam)
+            mu_h = [_hook_product_by_boxes(mu, fault) for mu in ctx.corners.removal_list]
+            h = _hook_product_by_boxes(lam, fault)
+            assert ctx.weights == tuple(h * prod(mu_h[:i] + mu_h[i + 1:])
+                                        for i in range(len(mu_h))), lam
+            if fault is not None and fault.partition in ctx.corners.removal_list:
+                reached.add(lam)
+    if fault is not None:
+        assert reached == {Partition(p) for p in ((4, 2), (3, 3), (3, 2, 1))}
 
 
 @pytest.mark.parametrize(
