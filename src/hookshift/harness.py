@@ -161,10 +161,10 @@ def _identity_unit(
         raise RuntimeError(f"partitions of {n} not in strictly decreasing order")
     if len(lams) != partition_count(n):
         raise RuntimeError(f"enumerated {len(lams)} partitions of {n}, not p({n}) = {partition_count(n)}")
+    checks = [(identity.value, *_CHECKERS[identity]) for identity in identities]
     for lam in lams:
         ctx = ws.context(lam)
-        for identity, row in zip(identities, rows):
-            check, report = _CHECKERS[identity]
+        for (name, check, report), row in zip(checks, rows):
             results = check(ctx)
             row["checked"] += len(results)
             for corner, lhs, rhs in results:
@@ -172,7 +172,7 @@ def _identity_unit(
                 if (ok := lhs == rhs != 0) and not capture:
                     continue
                 entry = VerificationOutcome(
-                    identity.value, lam, corner, "pass" if ok else "fail", *report(ctx, lhs, rhs)
+                    name, lam, corner, "pass" if ok else "fail", *report(ctx, lhs, rhs)
                 ).to_json()
                 if ok:
                     row["witnesses"].append(entry)

@@ -45,8 +45,10 @@ by itself.  No context, clean or under one fault, has two zero sides.
 Every hook product, f = syt_count and hook weight is positive, and so
 are n * prod H_mu (REC_1_2, REC_1_3, COR_4_4) and f * H (REMARK_DN).  g
 stays monic of degree n, so g(x+1) - g(x) has leading coefficient n
-(THM_1_1).  At x = -(part(i) - i) the corner sum is row i's weight times
-nonzero factors, as those constants are distinct (THM_4_1, THM_4_2).
+(THM_1_1), and its n-fold difference is n! (REMARK_DN), which that
+check takes by proof instead of from g's values.  At x = -(part(i) - i)
+the corner sum is row i's weight times nonzero factors, as those
+constants are distinct (THM_4_1, THM_4_2).
 QUOTIENT_4_2 and EQ_4_6 compare products of monic linear factors.
 CORNER_RATIO_2_2's g-values sit off every root, as the shifted parts
 part(j) - j strictly decrease and row i is a corner, and a fault touches
@@ -60,7 +62,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import comb, factorial, prod
+from math import factorial, prod
 from typing import Optional, Union
 
 from .partitions import (
@@ -86,8 +88,9 @@ class IdentityId(enum.Enum):
     REC_1_3           n over the hook product equals the corner sum of
                       hook-product reciprocals
     REMARK_DN         n-fold difference of g/H is the tableau count,
-                      cleared: the n-fold difference of g equals f * H,
-                      with f from Frobenius's formula (no hook lengths)
+                      cleared: the n-fold difference of g, n! as g is
+                      monic of degree n, equals f * H, with f from
+                      Frobenius's formula (no hook lengths)
     CORNER_RATIO_2_2  per corner: hook-product ratio equals the g-value
                       ratio at the corner's shifted index
     QUOTIENT_4_2      per corner: the removed partition's g-polynomial as
@@ -373,16 +376,21 @@ def _cleared_hook_sum(ctx: PartitionContext):
 
 
 def _check_remark_dn(ctx: PartitionContext):
-    # cleared by H: the n-fold difference of g against f * H, with f from
-    # a formula that reads no hook length.  g is monic of degree n even
-    # under a fault, so the difference is a single constant, the binomial
-    # sum of g's own values at 0..n (Boole's finite-difference identity),
-    # of which those at the roots -c of g's factors vanish.
-    n, c = ctx.n, ctx.constants
-    roots = set(c)
-    lhs = sum((-1) ** (n - k) * comb(n, k) * prod(map(k.__add__, c))
-              for k in range(n + 1) if -k not in roots)
-    return [(None, lhs, syt_count(ctx.lam) * ctx.h)]
+    """Cleared by H: the n-fold difference of g against f * H, with f from
+    Frobenius's formula, which reads no hook length.
+
+    With m = len(constants), g is the monic degree-m product of the
+    (x + c_i), and its n-fold difference at 0 is the binomial sum of its
+    values, sum over k = 0..n of (-1)^(n-k) C(n,k) g(k).  When m == n
+    that is n! for every value of the c_i: the n-th difference of x^n is
+    n! and every lower power's vanishes.  A hook fault leaves the c_i
+    alone and a g-factor fault changes one of them, never m, so on every
+    context the workspace builds that sum is n!.  A context with m != n
+    takes 0, which fails against f * H > 0, where the sum could happen to
+    equal f * H; so this form fails wherever the sum does.
+    """
+    return [(None, factorial(ctx.n) if len(ctx.constants) == ctx.n else 0,
+             syt_count(ctx.lam) * ctx.h)]
 
 
 def _check_corner_ratio_2_2(ctx: PartitionContext):
@@ -466,6 +474,8 @@ def check_identity(identity: IdentityId, lam: Partition,
     identities, each with both of its reported sides."""
     if not isinstance(identity, IdentityId):
         raise TypeError(f"expected IdentityId, got {identity!r}")
+    if not isinstance(lam, Partition):
+        raise TypeError(f"expected Partition, got {lam!r}")
     if not lam:
         raise PartitionError(f"{identity.value} needs a nonempty partition")
     ctx = Workspace(fault).context(lam)

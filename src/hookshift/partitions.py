@@ -211,7 +211,7 @@ def syt_count(lam: Partition) -> int:
     exact; a remainder would mean the formula was applied wrongly.
     """
     k = len(lam)
-    ls = [lam.part(i) + k - i for i in range(1, k + 1)]
+    ls = [p + k - i for i, p in enumerate(lam, 1)]
     num = factorial(lam.size) * prod(a - b for i, a in enumerate(ls) for b in ls[i + 1:])
     q, r = divmod(num, prod(factorial(a) for a in ls))
     if r:

@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import factorial, prod
+from math import comb, factorial, prod
 
 from hookshift.identities import IdentityId, g_poly
 from hookshift.partitions import (
@@ -133,9 +133,18 @@ def g_value_by_factors(lam, x):
 
 def difference(p):
     """Forward difference p(x+1) - p(x) by a polynomial shift; drops the
-    degree by one.  Applied n times it is the oracle for REMARK_DN's
-    binomial sum of values."""
+    degree by one.  Applied n times to a context's g it is the oracle for
+    REMARK_DN's left side."""
     return p.shift(1) - p
+
+
+def binomial_difference(constants):
+    """The n-fold difference at 0 of the product of (x + c) over the n
+    ``constants``, as the binomial sum of its values at 0..n (Boole's
+    finite-difference identity): sum over k of (-1)^(n-k) C(n,k) g(k)."""
+    n = len(constants)
+    return sum((-1) ** (n - k) * comb(n, k) * prod(k + c for c in constants)
+               for k in range(n + 1))
 
 
 def cleared_corner_sum(den, h, mu_h):

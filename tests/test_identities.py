@@ -32,6 +32,7 @@ from hookshift.polynomials import (
 )
 from oracles import (
     X,
+    binomial_difference,
     catalog_sides,
     cleared_corner_sum,
     corner_quotient_factors,
@@ -194,6 +195,11 @@ def test_check_identity_rejects_non_identity():
         check_identity("THM_1_1", Partition((1,)))
 
 
+def test_check_identity_rejects_non_partition():
+    with pytest.raises(TypeError, match=r"\(2, 1\)"):
+        check_identity(IdentityId.THM_1_1, (2, 1))
+
+
 def test_per_corner_identities_localize():
     for identity in (IdentityId.CORNER_RATIO_2_2, IdentityId.QUOTIENT_4_2):
         outcomes = check_identity(identity, LAM)
@@ -292,9 +298,9 @@ def test_remark_dn_by_hand():
 
 
 def test_iterated_difference_matches_binomial_sum_to_10():
-    # REMARK_DN's left side is the binomial sum of the context's own g at
-    # 0..n; the oracle applies the forward difference n times to that g.
-    # Every partition of size <= 10, then a hook-faulted and a
+    # REMARK_DN's left side is n!, the n-fold difference of the context's
+    # monic degree-n g; the oracle applies the forward difference n times
+    # to that g.  Every partition of size <= 10, then a hook-faulted and a
     # g-factor-faulted context, whose g is not g_poly's; an unfaulted g
     # also agrees with its factors taken one by one
     cases = [(lam, Workspace()) for n in range(1, 11) for lam in enumerate_partitions(n)]
@@ -314,6 +320,33 @@ def test_iterated_difference_matches_binomial_sum_to_10():
         assert outcome.passed == (ws.fault is not hook), lam
     ctx = Workspace(gfac).context(gfac.partition)
     assert _full(ctx, ctx.g) != g_poly(gfac.partition)
+
+
+@given(st.lists(st.one_of(st.integers(-3, 3), st.integers(-10**12, 10**12)), max_size=40))
+def test_binomial_sum_of_monic_product_is_n_factorial(constants):
+    # the theorem REMARK_DN's left side rests on: for any constants,
+    # repeated or not, the n-fold difference of prod (x + c) is n!
+    assert binomial_difference(constants) == factorial(len(constants))
+
+
+def test_remark_dn_left_side_is_n_factorial_under_every_fault():
+    # every hook fault (delta 1, 2) and g-factor fault (delta +1, -1) on
+    # every partition of size <= 5: the left side is n!, as is the
+    # binomial sum of the faulted context's own constants
+    faults = []
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            faults += [Fault(kind="hook", partition=lam, row=cell.row, col=cell.col, delta=d)
+                       for cell in lam.cells() for d in (1, 2)]
+            faults += [Fault(kind="g-factor", partition=lam, index=i, delta=d)
+                       for i in range(1, n + 1) for d in (1, -1)]
+    assert len(faults) == 276
+    for fault in faults:
+        lam = fault.partition
+        (outcome,) = check_identity(IdentityId.REMARK_DN, lam, fault)
+        constants = Workspace(fault).context(lam).constants
+        assert outcome.lhs == binomial_difference(constants) == factorial(lam.size), fault
+        assert outcome.passed == (fault.kind == "g-factor"), fault
 
 
 def test_cor_4_4_sum_is_exactly_n():
