@@ -329,8 +329,11 @@ class Workspace:
         weights = tuple(h * (big // h_mu) for h_mu in mu_h)
         k = len(mu_h)
         # X > 2 * max(k, 2) * h * big * B**(u + k + 2), the bound of the
-        # module docstring; B covers every constant compared, shifted by 1
-        bound = 2 + max(map(abs, chain(c, *mu_c, in_constants, out_constants, (n,))))
+        # module docstring; B covers every constant compared, shifted by 1.
+        # The corner constants part(i) - i and part(j) - j + 1 are read
+        # from lam's parts, which no fault touches, and lie in [-n, n], so
+        # n covers them
+        bound = 2 + max(map(abs, chain(c, *mu_c, (n,))))
         x = 1 << ((max(k, 2) * h * big).bit_length()
                   + (len(unshared) + k + 3) * bound.bit_length() + 2)
         # corner_sum gains one term per in-corner row while in_prod gains

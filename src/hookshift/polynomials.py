@@ -10,13 +10,15 @@ rejected outright.
 There is no general product of two polynomials; the test suite keeps a
 schoolbook one as its reference, apart from the library's kernels.
 
+Every result goes through the one constructor, which trims trailing
+zeros, so equal polynomials always have equal coefficient tuples.
+
 Products of monic linear factors (x + c) are built by
 ``times_linear_factors``, which updates one coefficient list in place,
-one pass per factor, and needs no trim of trailing zeros because a monic
-factor keeps the leading coefficient nonzero.  It builds ``g_poly``, the
-full sides that identity reports carry, and the Schur layer's
-coefficients; the identity checks themselves compare their sides as
-integer values (see ``hookshift.identities``).
+one pass per factor.  It builds ``g_poly``, the full sides that identity
+reports carry, and the Schur layer's coefficients; the identity checks
+themselves compare their sides as integer values (see
+``hookshift.identities``).
 """
 
 from __future__ import annotations
@@ -25,20 +27,6 @@ from fractions import Fraction
 from typing import Iterable, Union
 
 Coeff = Union[int, Fraction]
-
-
-def _wrap(coeffs: list) -> "ExactPolynomial":
-    # trusted constructor: coeffs already exact, leading one nonzero
-    p = ExactPolynomial.__new__(ExactPolynomial)
-    p.coeffs = tuple(coeffs)
-    return p
-
-
-def _make(coeffs: list) -> "ExactPolynomial":
-    # trusted constructor that trims; list ownership transfers
-    while coeffs and not coeffs[-1]:
-        coeffs.pop()
-    return _wrap(coeffs)
 
 
 class ExactPolynomial:
@@ -74,7 +62,7 @@ class ExactPolynomial:
         out = list(long)
         for i, c in enumerate(short):
             out[i] += c
-        return _make(out)
+        return ExactPolynomial(out)
 
     def __sub__(self, other: "ExactPolynomial") -> "ExactPolynomial":
         if not isinstance(other, ExactPolynomial):
@@ -84,8 +72,7 @@ class ExactPolynomial:
     def __mul__(self, other: Coeff) -> "ExactPolynomial":
         if not isinstance(other, (int, Fraction)):
             return NotImplemented
-        # a nonzero scalar keeps every nonzero coefficient nonzero
-        return _wrap([c * other for c in self.coeffs] if other else [])
+        return ExactPolynomial([c * other for c in self.coeffs])
 
     __rmul__ = __mul__
 
@@ -109,7 +96,7 @@ class ExactPolynomial:
         for i in range(n - 1):
             for j in range(n - 2, i - 1, -1):
                 cs[j] += a * cs[j + 1]
-        return _make(cs)
+        return ExactPolynomial(cs)
 
     def serialize(self) -> list[tuple[int, str]]:
         """(power, "num/den") pairs, highest power first, zeros skipped."""
@@ -162,16 +149,14 @@ def times_linear_factors(p: ExactPolynomial, constants: Iterable[Coeff]) -> Exac
     One coefficient list is updated in place, one pass per factor: the
     coefficient of x**k becomes c times itself plus the old coefficient
     of x**(k-1), and the old leading coefficient moves up one degree.
-    The result needs no trim, since a monic factor keeps p's leading
-    coefficient, which is nonzero.
+    The result goes through the constructor, which trims, so a zero p
+    gives the zero polynomial.
     """
     coeffs = list(p.coeffs)
-    if not coeffs:
-        return p
     for c in constants:
         prev = 0
         for k, q in enumerate(coeffs):
             coeffs[k] = prev + c * q
             prev = q
         coeffs.append(prev)
-    return _wrap(coeffs)
+    return ExactPolynomial(coeffs)

@@ -647,6 +647,8 @@ def _assert_values_decide(ws, lam):
     # side such factors can build, which the sides met here need not reach
     k, u = len(ctx.mu_h), ctx.n - 1 - len(ctx.common)
     out_constants = [lam.part(i) - i + 1 for i in ctx.corners.out_corners]
+    # the context sizes x without the corner constants, since n covers them
+    assert all(-ctx.n <= a <= ctx.n for a in chain(ctx.in_constants, out_constants)), lam
     b = 2 + max(map(abs, chain(ctx.constants, *ctx.mu_constants, ctx.in_constants,
                                out_constants, (ctx.n,))))
     assert ctx.x > 2 * max(k, 2) * ctx.h * ctx.mu_h_prod * b ** (u + k + 2), (lam, ws.fault)

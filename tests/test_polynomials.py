@@ -43,6 +43,7 @@ def test_basic_arithmetic():
     assert 2 * X == ExactPolynomial((0, 2))
     assert X * Fraction(1, 2) == ExactPolynomial((0, Fraction(1, 2)))
     assert X * 0 == ExactPolynomial()
+    assert (X * Fraction(0)).coeffs == ()
     # no general product: the tests build products with oracles.mul
     with pytest.raises(TypeError):
         X * X
@@ -63,6 +64,7 @@ def test_shift_examples():
     assert ExactPolynomial((0, 0, 1)).shift(1) == ExactPolynomial((1, 2, 1))
     g = mul(linear(1), linear(-1), linear(-3))
     assert g.shift(1) == product_of_linear_factors([2, 0, -2])
+    assert ExactPolynomial().shift(3).coeffs == ()
 
 
 def test_eval():
@@ -122,6 +124,7 @@ def test_addition_laws(p, q, r):
     assert p + zero == p
     assert (p - q) + q == p
     assert not p - p
+    assert (p * 0).coeffs == ()
 
 
 @given(polynomials(), polynomials(), exact_coeffs)
