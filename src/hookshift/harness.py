@@ -44,8 +44,8 @@ class SweepConfig:
 
     ``identities`` is a nonempty selection of IdentityId, normalized to
     catalog order.  ``parallelism`` is a worker count or "auto" (one
-    worker per CPU).  ``fault`` is the test hook for sensitivity runs and
-    leaves ordinary sweeps untouched.
+    worker per CPU this process may run on).  ``fault`` is the test hook
+    for sensitivity runs and leaves ordinary sweeps untouched.
     """
 
     max_n_identities: int = 25
@@ -86,7 +86,9 @@ class SweepConfig:
 
     def workers(self) -> int:
         if self.parallelism == "auto":
-            return os.cpu_count() or 1
+            # an affinity mask or a cpuset may allow fewer CPUs than exist
+            return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                    else os.cpu_count() or 1)
         return self.parallelism
 
     def to_json(self) -> dict:

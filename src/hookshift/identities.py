@@ -66,13 +66,11 @@ from math import factorial, prod
 from typing import Optional, Union
 
 from .partitions import (
-    Cell,
     CornerData,
     Partition,
     PartitionError,
     corner_sets,
     hook_length,
-    hook_lengths,
     hook_product,
     syt_count,
 )
@@ -158,11 +156,12 @@ class VerificationOutcome:
 class Fault:
     """Single deliberate perturbation, used to prove the checks can fail.
 
-    kind "hook" bumps the hook length of one cell of one partition before
-    the hook product is taken; kind "g-factor" bumps the constant of one
-    linear factor of one partition's g-polynomial.  ``row``, ``col``,
-    ``index`` and ``delta`` must be ints (not bools), ``delta`` must be
-    nonzero, and a hook fault must leave the hook length positive.
+    kind "hook" bumps the hook length of one cell of one partition in its
+    hook product; kind "g-factor" bumps the constant of one linear factor
+    of one partition's g-polynomial.  ``row``, ``col``, ``index`` and
+    ``delta`` must be ints (not bools), ``delta`` must be nonzero, and a
+    hook fault's cell must lie in the diagram (``hook_length`` rejects
+    it otherwise) with its hook length left positive.
     """
 
     kind: str
@@ -183,10 +182,7 @@ class Fault:
         if self.delta == 0:
             raise ValueError("a fault with delta 0 perturbs nothing")
         if self.kind == "hook":
-            cell = Cell(self.row, self.col)
-            if not self.partition.contains_cell(cell):
-                raise ValueError(f"cell ({self.row},{self.col}) outside {self.partition}")
-            if hook_length(self.partition, cell) + self.delta <= 0:
+            if hook_length(self.partition, (self.row, self.col)) + self.delta <= 0:
                 raise ValueError(
                     f"delta {self.delta} makes the hook length of ({self.row},{self.col}) "
                     "nonpositive"
@@ -280,9 +276,10 @@ class Workspace:
     """Memo of hook products and g-factor constants for one unit of work.
 
     Every value the checks read is computed once here, on first use, and
-    that is the one place a fault substitutes its perturbed value (into
-    the hook lengths or g-factor constants, before anything is built), so
-    a whole sweep can be rerun against a single wrong input.  Each
+    that is the one place a fault substitutes its perturbed value: each
+    partition's clean hook product and g-factor constants are built
+    first, and a fault on that partition then swaps one of them, so a
+    whole sweep can be rerun against a single wrong input.  Each
     context's common factor is read off those substituted constants, so
     a fault can only shrink it.  Drop the workspace to drop its memo.
     """
@@ -293,17 +290,15 @@ class Workspace:
 
     def _inputs(self, lam: Partition) -> tuple[int, list[int]]:
         """The hook product and the g-factor constants, fault substituted."""
+        h, constants = hook_product(lam), shifted_part_constants(lam)
         f = self.fault
-        constants = shifted_part_constants(lam)
-        if f is None or f.partition != lam:
-            h = hook_product(lam)
-        else:
-            hooks = hook_lengths(lam)
+        if f is not None and f.partition == lam:
             if f.kind == "hook":
-                hooks[f.row - 1][f.col - 1] += f.delta
+                # the faulted cell's hook divides H, so this swap is exact
+                hook = hook_length(lam, (f.row, f.col))
+                h = h // hook * (hook + f.delta)
             else:
                 constants[f.index - 1] += f.delta
-            h = prod(h for row in hooks for h in row)
         return h, constants
 
     def _removal(self, mu: Partition) -> tuple[int, list[int]]:

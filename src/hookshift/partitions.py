@@ -169,9 +169,10 @@ def partition_count(n: int) -> int:
     return p[n]
 
 
-def hook_length(lam: Partition, cell: Cell) -> int:
-    """Hook length of a box: itself, the boxes to its right, and the boxes
-    in its column on the leg side."""
+def hook_length(lam: Partition, cell: tuple[int, int]) -> int:
+    """Hook length of a box, given as a Cell or a plain (row, col) tuple:
+    itself, the boxes to its right, and the boxes in its column on the leg
+    side.  A cell outside the diagram raises PartitionError."""
     cell = Cell(*cell)
     if not lam.contains_cell(cell):
         raise PartitionError(f"cell {tuple(cell)} outside the diagram of {lam}")

@@ -2,6 +2,7 @@ import dataclasses
 import gc
 import hashlib
 import json
+import os
 from collections import Counter
 from fractions import Fraction
 
@@ -48,6 +49,19 @@ def test_config_defaults():
     assert cfg.max_n_theorem_1_2 == 9
     assert cfg.max_n_oracles == 8
     assert cfg.identities == tuple(IdentityId)
+
+
+def test_auto_workers_count_the_cpus_this_process_may_run_on(monkeypatch):
+    # an affinity mask or a cpuset of one CPU gets one worker, however
+    # many CPUs the machine has
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    assert SweepConfig().workers() == 1
+    # where the platform has no affinity call, the machine's count, or 1
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert SweepConfig().workers() == 64
+    monkeypatch.setattr(os, "cpu_count", lambda: None)
+    assert SweepConfig().workers() == 1
 
 
 def test_config_validation():
@@ -275,9 +289,20 @@ def test_report_deterministic_across_runs():
     assert json.dumps(a) == json.dumps(b)
 
 
-def test_report_independent_of_worker_count():
-    a = json.loads(render_report(run_sweep(small_config(parallelism=1))))
-    b = json.loads(render_report(run_sweep(small_config(parallelism=2))))
+@pytest.mark.parametrize(
+    "fault",
+    [
+        None,
+        Fault(kind="hook", partition=Partition((3, 2, 1)), row=1, col=2, delta=10**6),
+        Fault(kind="g-factor", partition=Partition((3, 3, 1)), index=7, delta=-2),
+    ],
+    ids=["clean", "hook", "g-factor"],
+)
+def test_report_independent_of_worker_count(fault):
+    # witness sides, failing ones included, are read back in the workers
+    cfg = dict(max_n_identities=7, capture_witnesses=True, fault=fault)
+    a = json.loads(render_report(run_sweep(small_config(parallelism=1, **cfg))))
+    b = json.loads(render_report(run_sweep(small_config(parallelism=2, **cfg))))
     assert (a.pop("timing")["workers"], b.pop("timing")["workers"]) == (1, 2)
     assert json.dumps(a) == json.dumps(b)
 

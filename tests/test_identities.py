@@ -404,8 +404,11 @@ def test_difference_identity_at_shifted_roots():
 def test_fault_validation():
     with pytest.raises(ValueError):
         Fault(kind="bogus", partition=Partition((2, 1)))
-    with pytest.raises(ValueError):
-        Fault(kind="hook", partition=Partition((2, 1)), row=2, col=2)
+    # a hook cell outside 2,1: past each of its four edges, or in the gap
+    # beside its second row
+    for row, col in ((2, 2), (0, 1), (1, 0), (1, 3), (3, 1)):
+        with pytest.raises(ValueError, match="outside"):
+            Fault(kind="hook", partition=Partition((2, 1)), row=row, col=col)
     with pytest.raises(ValueError):
         Fault(kind="g-factor", partition=Partition((2, 1)), index=4)
     # a zero delta tests nothing: the sweep would report green
@@ -495,30 +498,71 @@ def test_unfaulted_workspace_matches_pure_functions():
 def _hook_product_by_boxes(lam, fault):
     """The hook product from box-counted hooks, with a hook fault's delta
     added at its cell."""
-    bump = {(fault.row, fault.col): fault.delta} if fault and fault.partition == lam else {}
+    hit = fault is not None and fault.kind == "hook" and fault.partition == lam
+    bump = {(fault.row, fault.col): fault.delta} if hit else {}
     return prod(hook_by_box_count(lam, c) + bump.get(c, 0) for c in lam.cells())
 
 
+def _faulted_constants(lam, fault):
+    """shifted_part_constants(lam), with a g-factor fault's delta added at
+    its index."""
+    constants = shifted_part_constants(lam)
+    if fault is not None and fault.kind == "g-factor" and fault.partition == lam:
+        constants[fault.index - 1] += fault.delta
+    return constants
+
+
+def _small_faults():
+    """Every hook fault, delta 1, 2, 10**6 and 1 - hook where that is
+    nonzero, and every g-factor fault, delta 1, -1 and 10**6, on the
+    partitions of size <= 5, each with the two sizes it reaches."""
+    for n in range(1, 6):
+        for lam in enumerate_partitions(n):
+            faults = [Fault(kind="hook", partition=lam, row=c.row, col=c.col, delta=d)
+                      for c in lam.cells()
+                      for d in (1, 2, 10**6, 1 - hook_by_box_count(lam, c)) if d]
+            faults += [Fault(kind="g-factor", partition=lam, index=i, delta=d)
+                       for i in range(1, n + 1) for d in (1, -1, 10**6)]
+            for f in faults:
+                where = f"{f.row},{f.col}" if f.kind == "hook" else f.index
+                yield pytest.param(f, (n, n + 1), id=f"{f.kind}-{lam}-{where}-{f.delta}")
+
+
+_REMOVAL_FAULT = Fault(kind="hook", partition=Partition((3, 2)), row=1, col=2, delta=2)
+
+
 @pytest.mark.parametrize(
-    "fault",
-    [None, Fault(kind="hook", partition=Partition((3, 2)), row=1, col=2, delta=2)],
-    ids=["clean", "hook-fault-on-a-removal"],
+    "fault, sizes",
+    [
+        pytest.param(None, range(1, 11), id="clean"),
+        pytest.param(_REMOVAL_FAULT, range(1, 11), id="hook-fault-on-a-removal"),
+        *_small_faults(),
+    ],
 )
-def test_weights_are_the_other_removals_hook_products(fault):
-    # removal i's weight is h times every removal's hook product but its own
+def test_weights_are_the_other_removals_hook_products(fault, sizes):
+    # removal i's weight is h times every removal's hook product but its own;
+    # h, the mu_h and the constants are the clean values with the fault's
+    # one bump
     reached = set()
-    for n in range(1, 11):
+    for n in sizes:
         ws = Workspace(fault)
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
-            mu_h = [_hook_product_by_boxes(mu, fault) for mu in ctx.corners.removal_list]
+            mus = ctx.corners.removal_list
+            mu_h = [_hook_product_by_boxes(mu, fault) for mu in mus]
             h = _hook_product_by_boxes(lam, fault)
+            assert (ctx.h, ctx.mu_h) == (h, tuple(mu_h)), lam
+            assert ctx.constants == _faulted_constants(lam, fault), lam
+            assert ctx.mu_constants == tuple(_faulted_constants(mu, fault) for mu in mus), lam
             assert ctx.weights == tuple(h * prod(mu_h[:i] + mu_h[i + 1:])
                                         for i in range(len(mu_h))), lam
-            if fault is not None and fault.partition in ctx.corners.removal_list:
+            if fault is not None and fault.partition in mus:
                 reached.add(lam)
-    if fault is not None:
+    if fault is _REMOVAL_FAULT:
         assert reached == {Partition(p) for p in ((4, 2), (3, 3), (3, 2, 1))}
+    elif fault is not None:
+        # every fault is read at its own size and by a partition one larger
+        assert reached
 
 
 @pytest.mark.parametrize(
@@ -546,10 +590,7 @@ def test_g_factor_fault_reaches_g_and_g_next(parts, index):
 def _faulted_g(lam, fault):
     """g_poly(lam), or the product of its faulted factors if a g-factor
     fault targets lam."""
-    constants = shifted_part_constants(lam)
-    if fault is not None and fault.kind == "g-factor" and fault.partition == lam:
-        constants[fault.index - 1] += fault.delta
-    return product_of_linear_factors(constants)
+    return product_of_linear_factors(_faulted_constants(lam, fault))
 
 
 @pytest.mark.parametrize(

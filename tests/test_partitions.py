@@ -164,6 +164,8 @@ def test_enumeration_rejects_negative():
 def test_hook_length_examples():
     assert hook_length(Partition((1,)), Cell(1, 1)) == 1
     assert hook_length(Partition((2, 1)), Cell(1, 1)) == 3
+    # a plain (row, col) tuple is a cell too
+    assert hook_length(Partition((3, 1)), (1, 2)) == 2
     grid = hook_lengths(Partition((2, 2)))
     assert sorted(h for row in grid for h in row) == [1, 2, 2, 3]
 
