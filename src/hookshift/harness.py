@@ -2,15 +2,17 @@
 bound, in parallel, and emit deterministic machine-readable reports.
 
 The work unit is one size n over all selected identities: a worker
-enumerates the partitions of n once and runs each identity's check on
-each, through one Workspace that builds each partition's data once and
-is dropped with the unit.  Only bounds and the fault cross process
-boundaries, and a unit returns one row per identity.  The Schur
-identity is one more unit, a single pass over its degrees that builds
-each degree's two sides once, cleared by n!, and returns one row per
-degree: Schur-basis equality, the two recurrences, and an oracle that
-evaluates both sides at one point.  Results are merged by a deterministic sort, which makes
-report contents independent of worker count and completion order.
+enumerates the partitions of n once, and ``identities.outcomes`` runs
+each identity's check on each, through one Workspace that builds each
+partition's data once and is dropped with the unit, and decides each
+comparison; the unit only files the outcomes into rows.  Only bounds
+and the fault cross process boundaries, and a unit returns one row per
+identity.  The Schur identity is one more unit, a single pass over its
+degrees that builds each degree's two sides once, cleared by n!, and
+returns one row per degree: Schur-basis equality, the two recurrences,
+and an oracle that evaluates both sides at one point.  Results are
+merged by a deterministic sort, which makes report contents independent
+of worker count and completion order.
 Wall-clock time and the worker count live in a separate "timing" object
 excluded from the determinism guarantee.
 """
@@ -23,7 +25,7 @@ import time
 from contextlib import closing
 from dataclasses import dataclass, field
 
-from .identities import _CHECKERS, Fault, IdentityId, VerificationOutcome, Workspace
+from .identities import Fault, IdentityId, Workspace, outcomes
 from .partitions import enumerate_partitions, partition_count
 from .schur import (
     check_at_point,
@@ -163,26 +165,17 @@ def _identity_unit(
         raise RuntimeError(f"partitions of {n} not in strictly decreasing order")
     if len(lams) != partition_count(n):
         raise RuntimeError(f"enumerated {len(lams)} partitions of {n}, not p({n}) = {partition_count(n)}")
-    checks = [(identity.value, *_CHECKERS[identity]) for identity in identities]
-    for lam in lams:
-        ctx = ws.context(lam)
-        for (name, check, report), row in zip(checks, rows):
-            results = check(ctx)
-            row["checked"] += len(results)
-            for corner, lhs, rhs in results:
-                # no check passes on 0 == 0 (see hookshift.identities)
-                if (ok := lhs == rhs != 0) and not capture:
-                    continue
-                entry = VerificationOutcome(
-                    name, lam, corner, "pass" if ok else "fail", *report(ctx, lhs, rhs)
-                ).to_json()
-                if ok:
-                    row["witnesses"].append(entry)
-                else:
-                    del entry["status"]
-                    row["failures"].append(entry)
-    for row in rows:
-        row["passed"] = row["checked"] - len(row["failures"])
+    counts = [0] * len(identities)
+    for k, outcome in outcomes(identities, map(ws.context, lams), counts, capture):
+        entry = outcome.to_json()
+        if outcome.passed:
+            rows[k]["witnesses"].append(entry)
+        else:
+            del entry["status"]
+            rows[k]["failures"].append(entry)
+    for row, checked in zip(rows, counts):
+        row["checked"] = checked
+        row["passed"] = checked - len(row["failures"])
     return rows
 
 

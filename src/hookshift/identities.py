@@ -12,7 +12,9 @@ spurious poles) ever occurs.  The polynomial identities are compared
 after cancelling the monic common factor of g, g(x+1) and every corner
 removal's g, which each term of each side carries, so the comparison
 decides the same equality.  Each check returns the two sides it
-compares, and one table says how each identity reports them.
+compares, and one table says how each identity reports them.  One
+generator, ``outcomes``, runs the checks and decides every comparison,
+for a sweep's work unit and for ``check_identity`` alike.
 
 The five polynomial identities compare their sides as integers: each
 side is held as its value at one power of two X (Kronecker
@@ -63,7 +65,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
-from typing import Optional, Union
+from typing import Iterable, Optional, Union
 
 from .partitions import (
     CornerData,
@@ -74,7 +76,7 @@ from .partitions import (
     hook_product,
     syt_count,
 )
-from .polynomials import ExactPolynomial, product_of_linear_factors, times_linear_factors
+from .polynomials import ExactPolynomial, product_of_linear_factors, serialize, times_linear_factors
 
 
 class IdentityId(enum.Enum):
@@ -118,13 +120,6 @@ class IdentityId(enum.Enum):
 Witness = Union[ExactPolynomial, int, Fraction]
 
 
-def _serialize_witness(v: Witness):
-    if isinstance(v, ExactPolynomial):
-        return [[k, s] for k, s in v.serialize()]
-    f = Fraction(v)
-    return f"{f.numerator}/{f.denominator}"
-
-
 @dataclass
 class VerificationOutcome:
     """Result of one identity check at one partition (and corner, if
@@ -147,8 +142,8 @@ class VerificationOutcome:
             "partition": str(self.partition),
             "corner_index": self.corner_index,
             "status": self.status,
-            "lhs": _serialize_witness(self.lhs),
-            "rhs": _serialize_witness(self.rhs),
+            "lhs": serialize(self.lhs),
+            "rhs": serialize(self.rhs),
         }
 
 
@@ -465,6 +460,27 @@ _CHECKERS = {
 }
 
 
+def outcomes(identities: tuple[IdentityId, ...], contexts: Iterable[PartitionContext],
+             counts: list[int], capture: bool):
+    """Run the check of each of ``identities`` on each of ``contexts``, the
+    one place where a comparison is decided: its two sides pass only when
+    they are equal and nonzero (see the module docstring).  The k-th
+    identity's comparisons are added to ``counts[k]``.  Yields (k,
+    outcome) for each failure, and for each pass too when ``capture`` is
+    set, with the sides as the identity's report shows them."""
+    checks = [(k, identity.value, *_CHECKERS[identity])
+              for k, identity in enumerate(identities)]
+    for ctx in contexts:
+        for k, name, check, report in checks:
+            results = check(ctx)
+            counts[k] += len(results)
+            for corner, lhs, rhs in results:
+                if (ok := lhs == rhs != 0) and not capture:
+                    continue
+                yield k, VerificationOutcome(name, ctx.lam, corner, "pass" if ok else "fail",
+                                             *report(ctx, lhs, rhs))
+
+
 def check_identity(identity: IdentityId, lam: Partition,
                    fault: Fault | None = None) -> list[VerificationOutcome]:
     """Check one identity at one partition, with ``fault`` injected if
@@ -476,8 +492,5 @@ def check_identity(identity: IdentityId, lam: Partition,
         raise TypeError(f"expected Partition, got {lam!r}")
     if not lam:
         raise PartitionError(f"{identity.value} needs a nonempty partition")
-    ctx = Workspace(fault).context(lam)
-    check, report = _CHECKERS[identity]
-    return [VerificationOutcome(identity.value, lam, corner,
-                                "pass" if lhs == rhs != 0 else "fail", *report(ctx, lhs, rhs))
-            for corner, lhs, rhs in check(ctx)]
+    contexts = [Workspace(fault).context(lam)]
+    return [outcome for _, outcome in outcomes((identity,), contexts, [0], True)]

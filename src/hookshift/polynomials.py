@@ -6,9 +6,13 @@ polynomials (the common case here) pay no normalization cost.  Floats are
 rejected outright.
 
 ``ExactPolynomial`` offers what the library runs: polynomial ``+`` and
-``-``, ``*`` by a scalar, ``shift``, exact evaluation, and serialization.
-There is no general product of two polynomials; the test suite keeps a
-schoolbook one as its reference, apart from the library's kernels.
+``-``, ``*`` by a scalar, ``shift`` and exact evaluation.  There is no
+general product of two polynomials; the test suite keeps a schoolbook
+one as its reference, apart from the library's kernels.
+
+``serialize`` writes every value a report carries, a polynomial or an
+exact number, in its one JSON form: identity witnesses and Schur sides
+alike go through it.
 
 Every result goes through the one constructor, which trims trailing
 zeros, so equal polynomials always have equal coefficient tuples.
@@ -98,17 +102,6 @@ class ExactPolynomial:
                 cs[j] += a * cs[j + 1]
         return ExactPolynomial(cs)
 
-    def serialize(self) -> list[tuple[int, str]]:
-        """(power, "num/den") pairs, highest power first, zeros skipped."""
-        out = []
-        for k in range(len(self.coeffs) - 1, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            f = Fraction(c)
-            out.append((k, f"{f.numerator}/{f.denominator}"))
-        return out
-
     def __str__(self) -> str:
         if not self.coeffs:
             return "0"
@@ -136,6 +129,14 @@ class ExactPolynomial:
 
 
 ONE = ExactPolynomial((1,))
+
+
+def serialize(v: Union[ExactPolynomial, Coeff]):
+    """A reported value as JSON: a polynomial as [power, "num/den"] pairs,
+    highest power first, zeros skipped; a number as "num/den"."""
+    if isinstance(v, ExactPolynomial):
+        return [[k, serialize(c)] for k, c in reversed(list(enumerate(v.coeffs))) if c]
+    return f"{v.numerator}/{v.denominator}"
 
 
 def product_of_linear_factors(constants: Iterable[Coeff]) -> ExactPolynomial:

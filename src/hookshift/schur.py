@@ -36,14 +36,14 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Mapping
 
-from .identities import _serialize_witness, shifted_part_constants
+from .identities import shifted_part_constants
 from .partitions import (
     Partition,
     enumerate_partitions,
     hook_product,
     single_box_additions,
 )
-from .polynomials import ExactPolynomial, product_of_linear_factors, times_linear_factors
+from .polynomials import ExactPolynomial, product_of_linear_factors, serialize, times_linear_factors
 
 # The parameter x at the oracle's evaluation point: not an integer, so no
 # rising factor x + j vanishes there.  The variables there are 1, ..., n,
@@ -54,7 +54,7 @@ ORACLE_X0 = Fraction(1, 3)
 def serialize_side(side: Mapping) -> list[dict]:
     """A side's terms as JSON-ready dicts, partitions in reverse-lexicographic
     order: the form of witnesses and of ``hookshift schur-lhs``/``schur-rhs``."""
-    return [{"partition": str(lam), "coefficient": _serialize_witness(side[lam])}
+    return [{"partition": str(lam), "coefficient": serialize(side[lam])}
             for lam in sorted(side, reverse=True)]
 
 
@@ -147,8 +147,6 @@ def check_theorem_1_2(n: int, sides: tuple) -> dict | None:
     Schur functions are linearly independent, so coefficient-map equality
     is the correct notion of symmetric-function equality here.
     """
-    if n < 0:
-        raise ValueError(f"n = {n} is negative")
     lhs, rhs = sides
     if lhs == rhs:
         return None
@@ -157,7 +155,7 @@ def check_theorem_1_2(n: int, sides: tuple) -> dict | None:
 
 
 def check_schur_recurrences(n: int, sides: tuple, prev: tuple) -> dict | None:
-    """Both one-step recurrences at degree n: each cleared side T_n of the
+    """Both one-step recurrences at degree n >= 1: each cleared side T_n of the
     main identity equals T_n(x-1) + n p1 T_(n-1)(x), with T_(n-1) that
     side in prev.  Divided by n!, this is the paper's recurrence: each
     side equals its own x -> x-1 substitution plus p1 times the side one
@@ -173,8 +171,6 @@ def check_schur_recurrences(n: int, sides: tuple, prev: tuple) -> dict | None:
     check_theorem_1_2's and divided by n! the same way, is the first
     failing side, rhs before lhs.
     """
-    if n < 1:
-        raise ValueError(f"n = {n}: the recurrences start at degree 1")
     (lhs, rhs), (prev_lhs, prev_rhs) = sides, prev
     for label, cur, before in (("rhs", rhs, prev_rhs), ("lhs", lhs, prev_lhs)):
         expect = {lam: c.shift(-1) for lam, c in cur.items()}
@@ -233,8 +229,6 @@ def check_at_point(n: int, sides: tuple) -> bool:
     unless its error vanishes at this one point.  No true side has a
     coefficient of degree above n, so such a side fails too.
     """
-    if n < 0:
-        raise ValueError(f"n = {n} is negative")
     a, b = ORACLE_X0.numerator, ORACLE_X0.denominator
     xs = tuple(range(1, n + 1))
     p1 = sum(xs)

@@ -250,6 +250,38 @@ def test_identity_unit_runs_each_check_once_per_identity_and_partition(monkeypat
     assert calls == {(identity, lam): 1 for identity in chosen for lam in enumerate_partitions(6)}
 
 
+def test_one_comparison_site_decides_every_caller(monkeypatch):
+    # a planted check compares 0 with 0, 7 with 7 and 7 with 8: only the
+    # equal nonzero pair passes, in check_identity and in the sweep alike
+    def planted(ctx):
+        return [(None, 0, 0), (1, 7, 7), (2, 7, 8)]
+
+    monkeypatch.setitem(identities._CHECKERS, IdentityId.THM_1_1,
+                        (planted, lambda ctx, lhs, rhs: (lhs, rhs)))
+    single = Partition((1,))
+    assert [(o.corner_index, o.status, o.lhs, o.rhs)
+            for o in check_identity(IdentityId.THM_1_1, single)] == [
+        (None, "fail", 0, 0), (1, "pass", 7, 7), (2, "fail", 7, 8)]
+    chosen = (IdentityId.THM_1_1,)
+    [row] = _identity_unit(1, chosen, None, False)
+    assert (row["checked"], row["passed"], row["witnesses"]) == (3, 1, [])
+    assert [(f["corner_index"], f["lhs"], f["rhs"]) for f in row["failures"]] == [
+        (None, "0/1", "0/1"), (2, "7/1", "8/1")]
+    [captured] = _identity_unit(1, chosen, None, True)
+    assert captured["failures"] == row["failures"]
+    assert captured["witnesses"] == [{"identity": "THM_1_1", "partition": "1",
+                                      "corner_index": 1, "status": "pass",
+                                      "lhs": "7/1", "rhs": "7/1"}]
+    # the counts add up over the contexts, one count per identity
+    ws = identities.Workspace()
+    counts = [0, 0]
+    found = identities.outcomes((IdentityId.THM_1_1, IdentityId.REC_1_3),
+                                map(ws.context, enumerate_partitions(4)), counts, False)
+    assert [(k, o.partition, o.corner_index) for k, o in found] == [
+        (0, lam, corner) for lam in enumerate_partitions(4) for corner in (None, 2)]
+    assert counts == [3 * 5, 5]
+
+
 # The six identities whose sides all carry the product of the removals'
 # hook products, through mu_h_prod, the weights or corner_sum
 HOOK_WEIGHTED = {"THM_1_1", "REC_1_2", "REC_1_3", "THM_4_1", "THM_4_2", "COR_4_4"}

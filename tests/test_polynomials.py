@@ -8,6 +8,7 @@ from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
     product_of_linear_factors,
+    serialize,
     times_linear_factors,
 )
 from oracles import X, difference, linear, mul, rising_binomial
@@ -145,9 +146,11 @@ def test_shift_agrees_with_evaluation(p, a, x):
 
 def test_serialization_format():
     p = ExactPolynomial((-75, -38, 17))
-    assert p.serialize() == [(2, "17/1"), (1, "-38/1"), (0, "-75/1")]
-    assert ExactPolynomial().serialize() == []
-    assert rising_binomial(2).serialize() == [(2, "1/2"), (1, "1/2")]
+    assert serialize(p) == [[2, "17/1"], [1, "-38/1"], [0, "-75/1"]]
+    assert serialize(ExactPolynomial()) == []
+    assert serialize(rising_binomial(2)) == [[2, "1/2"], [1, "1/2"]]
+    assert serialize(-3) == "-3/1"
+    assert serialize(Fraction(6, -4)) == "-3/2"
 
 
 def test_str_rendering():
