@@ -16,13 +16,27 @@ compares, and one table says how each identity reports them.  One
 generator, ``outcomes``, runs the checks and decides every comparison,
 for a sweep's work unit and for ``check_identity`` alike.
 
+The six identities that weigh by hook ratios, THM_1_1, REC_1_2, REC_1_3,
+THM_4_1, THM_4_2 and COR_4_4, clear the H/H_mu by D, the lcm of their
+denominators in lowest terms, d_j = H_mu_j / gcd(H, H_mu_j).  For each
+prime p, the power of p in D is the largest of v_p(H_mu_j) - v_p(H) and
+0, so D = L / gcd(H, L) with L the lcm of the H_mu; the context computes
+it so, with one lcm and one gcd.  Each weight
+w_j = H * D / H_mu_j = (H / gcd(H, H_mu_j)) * (D / d_j) is then an
+integer.  Each d_j divides H_mu_j, so D divides prod H_mu, and clearing
+by prod H_mu instead would multiply every term of both sides by the same
+positive integer prod H_mu / D.  So the two clearings decide the same
+equality, clean or under a fault.  A report shows the sides cleared by
+prod H_mu, multiplying that integer back in, or with the clearing
+divided out (THM_4_2).
+
 The five polynomial identities compare their sides as integers: each
 side is held as its value at one power of two X (Kronecker
 substitution), and X is large enough that equal values mean equal
 polynomials.  With k in-corner rows, u unshared indices, and B at least
 2 plus the largest absolute constant of any factor involved, every side
 is a sum of at most max(k, 2) terms, each an integer of absolute value
-at most h * prod H_mu times at most u + k + 2 monic linear factors:
+at most M = max(D, w_j) times at most u + k + 2 monic linear factors:
 
     identity        terms per side    linear factors per term
     THM_1_1         2 | k             u + 1
@@ -33,29 +47,49 @@ at most h * prod H_mu times at most u + k + 2 monic linear factors:
 
 A factor (x + a) has coefficients of absolute values summing to
 1 + |a| <= B, that sum (the l1 norm) is submultiplicative, and X is
-chosen above twice max(k, 2) * h * prod H_mu * B**(u + k + 2), so each
-side's l1 norm is below X / 2.  If two sides P != Q had P(X) == Q(X),
-the lowest nonzero coefficient d of P - Q, at x**j, would give
+chosen above twice max(k, 2) * M * B**(u + k + 2), so each side's l1
+norm is below X / 2.  If two sides P != Q had P(X) == Q(X), the lowest
+nonzero coefficient d of P - Q, at x**j, would give
 0 == (P - Q)(X) == X**j * (d + X * r) for an integer r, so X would
 divide d; but 0 < |d| <= ||P - Q||_1 < X.  So comparing the two values
 decides the polynomial identity exactly; a report reads a side back as
-a polynomial from its balanced base-X digits.
+a polynomial from its balanced base-X digits, and only then multiplies
+it by prod H_mu / D, since that multiple of the value at X can lie past
+the bound that reading back needs.
+
+CORNER_RATIO_2_2 compares, at a = i - part(i) for in-corner row i,
+H * g_mu(a) with H_mu * g(a+1), both divided by F(a), and its report
+multiplies F(a) back in.  F(a) is nonzero under any single fault, which
+changes at most one value of each column of constants that decides
+whether an index is shared (g's, g(x+1)'s next and each removal's).
+Clean, the column of a row that is not in-corner holds one value, g's
+constant, so F keeps such an index only when the fault missed its
+column, and then with its clean constant.  The column of an in-corner
+row i < n holds part(i) - i (g, and each removal at another row),
+part(i+1) - i (g(x+1)) and part(i) - 1 - i (the removal at row i); two
+distinct values stay when any one of them goes (with no other removal,
+lam is a rectangle of width at least 2, and part(i+1) = 0), so that
+index is never shared, and row n lies past the indices F ranges over.
+F's constants are therefore clean constants of
+rows other than i, and differ from c_i = part(i) - i, as the shifted
+parts part(j) - j strictly decrease.
 
 No check passes on two zero sides: a comparison passes only when its
 sides are equal and nonzero, so a bug that zeroes a side fails the sweep
 by itself.  No context, clean or under one fault, has two zero sides.
-Every hook product, f = syt_count and hook weight is positive, and so
-are n * prod H_mu (REC_1_2, REC_1_3, COR_4_4) and f * H (REMARK_DN).  g
-stays monic of degree n, so g(x+1) - g(x) has leading coefficient n
-(THM_1_1), and its n-fold difference is n! (REMARK_DN), which that
-check takes by proof instead of from g's values.  At x = -(part(i) - i)
-the corner sum is row i's weight times nonzero factors, as those
-constants are distinct (THM_4_1, THM_4_2).
+Every hook product, f = syt_count and hook weight is positive, D >= 1
+and every w_j >= 1, so n * D (REC_1_2, REC_1_3, COR_4_4) and f * H
+(REMARK_DN) are positive.  g stays monic of degree n, so g(x+1) - g(x)
+has leading coefficient n (THM_1_1), and its n-fold difference is n!
+(REMARK_DN), which that check takes by proof instead of from g's values.
+At x = -(part(i) - i) the corner sum is row i's weight times nonzero
+factors, as those constants are distinct (THM_4_1, THM_4_2).
 QUOTIENT_4_2 and EQ_4_6 compare products of monic linear factors.
 CORNER_RATIO_2_2's g-values sit off every root, as the shifted parts
 part(j) - j strictly decrease and row i is a corner, and a fault touches
-one of its sides only.  A nonzero polynomial's value at X is nonzero, as
-X cannot divide its lowest nonzero coefficient.
+one of its sides only; dividing both by the nonzero F(a) keeps them off
+zero.  A nonzero polynomial's value at X is nonzero, as X cannot divide
+its lowest nonzero coefficient.
 """
 
 from __future__ import annotations
@@ -64,7 +98,7 @@ import enum
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain
-from math import factorial, prod
+from math import factorial, gcd, lcm, prod
 from typing import Iterable, Optional, Union
 
 from .partitions import (
@@ -211,22 +245,25 @@ class PartitionContext:
     ``n`` is the size of ``lam``.  ``constants`` holds the constants c_i
     of g's factors (x + c_i), fault substituted, and ``mu_constants``
     those of each corner removal's g, in in-corner row order, as ``mu_h``
-    holds their hook products; ``mu_h_prod`` is the product of those, and
-    ``h`` is the hook product of ``lam``.  The polynomials are held as
-    their values at the power of two ``x`` (the X of the module
-    docstring), from which ``decode`` reads them back.  ``g``, ``g_next``
-    (g(x+1)) and ``mu_g`` are held divided by their common factor F, the
-    product of (x + c_i) over ``common``: the c_i of each index i < n
-    where g's i-th factor is also g(x+1)'s (i+1)-th and every removal's
-    i-th.  Unfaulted, that is every row but the k in-corner rows, so
-    about k + 1 factors stay in g and g(x+1), and k in each removal's g.
-    ``weights`` holds each removal's hook weight, H/H_mu cleared by
-    ``mu_h_prod``, which THM_1_1, the hook sum and ``corner_sum`` read.
+    holds their hook products, and ``h`` is the hook product of ``lam``.
+    ``den_lcm`` is D, the lcm of the denominators of the H/H_mu in lowest
+    terms.  The polynomials are held as their values at the power of two
+    ``x`` (the X of the module docstring), from which ``decode`` reads
+    them back.  ``g``, ``g_next`` (g(x+1)) and ``mu_g`` are held divided
+    by their common factor F, the product of (x + c_i) over ``common``:
+    the c_i of each index i < n where g's i-th factor is also g(x+1)'s
+    (i+1)-th and every removal's i-th.  Unfaulted, that is every row but
+    the k in-corner rows, so about k + 1 factors stay in g and g(x+1), and
+    k in each removal's g; ``next_constants`` and ``mu_unshared`` hold the
+    constants of those left in g(x+1) and in each removal's g, which
+    CORNER_RATIO_2_2 reads.  ``weights`` holds each removal's hook
+    weight, H/H_mu cleared by D, which THM_1_1, the hook sum and
+    ``corner_sum`` read.
     ``in_prod`` and ``out_prod`` are the products of (x + part(i) - i)
     over the in-corner rows, whose constants are ``in_constants``, and of
     (x + part(i) - i + 1) over the out-corner rows; ``corner_sum`` is the
     THM_4_1 / THM_4_2 left side, the sum over in-corner rows of
-    H/H_mu / (x + part(i) - i), cleared by ``in_prod`` and ``mu_h_prod``.
+    H/H_mu / (x + part(i) - i), cleared by ``in_prod`` and D.
     ``x`` is chosen so that every side the checks build from these
     values has an l1 norm below x / 2, so equal values there are equal
     polynomials.
@@ -242,10 +279,12 @@ class PartitionContext:
     x: int
     g: int
     g_next: int
+    next_constants: list[int]
     mu_h: tuple[int, ...]
     mu_constants: tuple[list[int], ...]
+    mu_unshared: list[list[int]]
     mu_g: tuple[int, ...]
-    mu_h_prod: int
+    den_lcm: int
     weights: tuple[int, ...]
     in_prod: int
     out_prod: int
@@ -315,16 +354,21 @@ class Workspace:
         m = len(mu_c) + 2
         unshared = [k for k, col in enumerate(zip(c, [b + 1 for b in c[1:]], *mu_c))
                 if col.count(col[0]) < m]
-        big = prod(mu_h)
-        weights = tuple(h * (big // h_mu) for h_mu in mu_h)
+        # D, the lcm of the reduced denominators of the H/H_mu, clears every
+        # hook weight to the integer h * D / H_mu; prime by prime, it is the
+        # lcm of the H_mu over its gcd with h
+        d = lcm(*mu_h)
+        d //= gcd(h, d)
+        hd = h * d
+        weights = tuple(map(hd.__floordiv__, mu_h))
         k = len(mu_h)
-        # X > 2 * max(k, 2) * h * big * B**(u + k + 2), the bound of the
+        # X > 2 * max(k, 2) * max(D, w) * B**(u + k + 2), the bound of the
         # module docstring; B covers every constant compared, shifted by 1.
         # The corner constants part(i) - i and part(j) - j + 1 are read
         # from lam's parts, which no fault touches, and lie in [-n, n], so
         # n covers them
         bound = 2 + max(map(abs, chain(c, *mu_c, (n,))))
-        x = 1 << ((max(k, 2) * h * big).bit_length()
+        x = 1 << ((max(k, 2) * max(d, *weights)).bit_length()
                   + (len(unshared) + k + 3) * bound.bit_length() + 2)
         # corner_sum gains one term per in-corner row while in_prod gains
         # that row's factor (x + a), which every earlier term also takes
@@ -332,6 +376,11 @@ class Workspace:
         for a, w in zip(in_constants, weights):
             s = s * (x + a) + w * p
             p *= x + a
+        # g keeps its unshared factors and its last, (x + c_n); g(x+1)
+        # keeps its first and the one after each unshared index; each
+        # removal's g keeps its unshared factors
+        next_c = [c[0] + 1] + [c[k + 1] + 1 for k in unshared]
+        mu_u = [[c_mu[k] for k in unshared] for c_mu in mu_c]
         return PartitionContext(
             lam,
             n,
@@ -341,14 +390,14 @@ class Workspace:
             [c[k] for k in range(n - 1) if k not in unshared],
             h,
             x,
-            # g keeps its unshared factors and its last, (x + c_n); g(x+1)
-            # keeps its first and the one after each unshared index
-            prod(map(x.__add__, [*(c[k] for k in unshared), c[-1]])),
-            prod(map(x.__add__, [c[0] + 1, *(c[k + 1] + 1 for k in unshared)])),
+            prod(map(x.__add__, [c[k] for k in unshared] + [c[-1]])),
+            prod(map(x.__add__, next_c)),
+            next_c,
             mu_h,
             mu_c,
-            tuple(prod(map(x.__add__, [c_mu[k] for k in unshared])) for c_mu in mu_c),
-            big,
+            mu_u,
+            tuple([prod(map(x.__add__, c_mu)) for c_mu in mu_u]),
+            d,
             weights,
             p,
             prod(map(x.__add__, out_constants)),
@@ -358,14 +407,14 @@ class Workspace:
 
 def _check_thm_1_1(ctx: PartitionContext):
     rhs = sum(w * g_mu for w, g_mu in zip(ctx.weights, ctx.mu_g))
-    return [(None, (ctx.g_next - ctx.g) * ctx.mu_h_prod, rhs)]
+    return [(None, (ctx.g_next - ctx.g) * ctx.den_lcm, rhs)]
 
 
 def _cleared_hook_sum(ctx: PartitionContext):
-    """n / H == sum of 1 / H_mu, cleared by H and the product of the H_mu.
-    Every hook product is positive, so REC_1_2 (divided by (n-1)!) and
-    COR_4_4 (divided by H) hold exactly when these two are equal."""
-    return [(None, ctx.n * ctx.mu_h_prod, sum(ctx.weights))]
+    """n / H == sum of 1 / H_mu, cleared by H and D.  Every hook product is
+    positive, so REC_1_2 (divided by (n-1)!) and COR_4_4 (divided by H)
+    hold exactly when these two are equal."""
+    return [(None, ctx.n * ctx.den_lcm, sum(ctx.weights))]
 
 
 def _check_remark_dn(ctx: PartitionContext):
@@ -387,13 +436,14 @@ def _check_remark_dn(ctx: PartitionContext):
 
 
 def _check_corner_ratio_2_2(ctx: PartitionContext):
+    # at a = i - part(i), H * g_mu(a) against H_mu * g(a+1), both divided
+    # by F(a)
+    h, nxt = ctx.h, ctx.next_constants
     out = []
-    for i, c, h_mu, c_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_h,
-                                ctx.mu_constants):
-        a = -c  # i - part(i)
-        lhs = ctx.h * prod(map(a.__add__, c_mu))
-        rhs = h_mu * prod(map((a + 1).__add__, ctx.constants))
-        out.append((i, lhs, rhs))
+    for i, c_i, h_mu, c_mu in zip(ctx.corners.in_corners, ctx.in_constants, ctx.mu_h,
+                                  ctx.mu_unshared):
+        a = -c_i
+        out.append((i, h * prod(map(a.__add__, c_mu)), h_mu * prod(map(a.__add__, nxt))))
     return out
 
 
@@ -405,7 +455,7 @@ def _check_quotient_4_2(ctx: PartitionContext):
 
 def _check_thm_4_1(ctx: PartitionContext):
     x = ctx.x
-    rhs = (ctx.g * x - ctx.g_next * (x - ctx.n)) * ctx.in_prod * ctx.mu_h_prod
+    rhs = (ctx.g * x - ctx.g_next * (x - ctx.n)) * ctx.in_prod * ctx.den_lcm
     return [(None, ctx.corner_sum * ctx.g, rhs)]
 
 
@@ -414,46 +464,68 @@ def _check_eq_4_6(ctx: PartitionContext):
 
 
 def _check_thm_4_2(ctx: PartitionContext):
-    return [(None, ctx.corner_sum, (ctx.x * ctx.in_prod - ctx.out_prod) * ctx.mu_h_prod)]
+    return [(None, ctx.corner_sum, (ctx.x * ctx.in_prod - ctx.out_prod) * ctx.den_lcm)]
 
 
-def _as_compared(ctx: PartitionContext, lhs, rhs):
+def _as_compared(ctx: PartitionContext, corner, lhs, rhs):
     return lhs, rhs
 
 
-def _times_common(ctx: PartitionContext, lhs, rhs):
+def _times_hook_scale(ctx: PartitionContext, corner, lhs, rhs):
+    # cleared by prod H_mu: each side cleared by D times prod H_mu / D.  A
+    # zero D, which only a bug makes, is read as 1, so that the failure is
+    # reported, not raised
+    s = prod(ctx.mu_h) // (ctx.den_lcm or 1)
+    return lhs * s, rhs * s
+
+
+def _times_f_at_corner(ctx: PartitionContext, corner, lhs, rhs):
+    # both sides times F(a), the products over every constant
+    a = corner - ctx.lam[corner - 1]
+    f = prod(map(a.__add__, ctx.common))
+    return lhs * f, rhs * f
+
+
+def _times_common(ctx: PartitionContext, corner, lhs, rhs):
     # read back and multiplied by F, each side takes its full form
     return (times_linear_factors(ctx.decode(lhs), ctx.common),
             times_linear_factors(ctx.decode(rhs), ctx.common))
 
 
-def _tableau_counts(ctx: PartitionContext, lhs, rhs):
+def _times_common_and_hook_scale(ctx: PartitionContext, corner, lhs, rhs):
+    # scaled after decoding: the scaled value at x could exceed the bound
+    # that decoding needs
+    return tuple(times_linear_factors(p, ctx.common)
+                 for p in _times_hook_scale(ctx, corner, ctx.decode(lhs), ctx.decode(rhs)))
+
+
+def _tableau_counts(ctx: PartitionContext, corner, lhs, rhs):
     # n!/H against the sum of (n-1)!/H_mu, Fractions under a hook fault
     n = ctx.n
     return (Fraction(factorial(n), ctx.h),
             sum(Fraction(factorial(n - 1), h) for h in ctx.mu_h))
 
 
-def _hook_ratio_sum(ctx: PartitionContext, lhs, rhs):
+def _hook_ratio_sum(ctx: PartitionContext, corner, lhs, rhs):
     return sum((Fraction(ctx.h, h) for h in ctx.mu_h), start=Fraction(0)), ctx.n
 
 
-def _hooks_divided_out(ctx: PartitionContext, lhs, rhs):
-    # the right side becomes the bare quotient numerator; a zero product,
-    # which only a bug makes, stays in, so that the failure is reported
-    return tuple(ctx.decode(v) * Fraction(1, ctx.mu_h_prod or 1) for v in (lhs, rhs))
+def _hooks_divided_out(ctx: PartitionContext, corner, lhs, rhs):
+    # the right side becomes the bare quotient numerator; a zero D, which
+    # only a bug makes, stays in, so that the failure is reported
+    return tuple(ctx.decode(v) * Fraction(1, ctx.den_lcm or 1) for v in (lhs, rhs))
 
 
 # each identity's check, returning (corner, lhs, rhs) with the sides as
 # compared, and how a report shows those sides
 _CHECKERS = {
-    IdentityId.THM_1_1: (_check_thm_1_1, _times_common),
+    IdentityId.THM_1_1: (_check_thm_1_1, _times_common_and_hook_scale),
     IdentityId.REC_1_2: (_cleared_hook_sum, _tableau_counts),
-    IdentityId.REC_1_3: (_cleared_hook_sum, _as_compared),
+    IdentityId.REC_1_3: (_cleared_hook_sum, _times_hook_scale),
     IdentityId.REMARK_DN: (_check_remark_dn, _as_compared),
-    IdentityId.CORNER_RATIO_2_2: (_check_corner_ratio_2_2, _as_compared),
+    IdentityId.CORNER_RATIO_2_2: (_check_corner_ratio_2_2, _times_f_at_corner),
     IdentityId.QUOTIENT_4_2: (_check_quotient_4_2, _times_common),
-    IdentityId.THM_4_1: (_check_thm_4_1, _times_common),
+    IdentityId.THM_4_1: (_check_thm_4_1, _times_common_and_hook_scale),
     IdentityId.EQ_4_6: (_check_eq_4_6, _times_common),
     IdentityId.THM_4_2: (_check_thm_4_2, _hooks_divided_out),
     IdentityId.COR_4_4: (_cleared_hook_sum, _hook_ratio_sum),
@@ -478,7 +550,7 @@ def outcomes(identities: tuple[IdentityId, ...], contexts: Iterable[PartitionCon
                 if (ok := lhs == rhs != 0) and not capture:
                     continue
                 yield k, VerificationOutcome(name, ctx.lam, corner, "pass" if ok else "fail",
-                                             *report(ctx, lhs, rhs))
+                                             *report(ctx, corner, lhs, rhs))
 
 
 def check_identity(identity: IdentityId, lam: Partition,

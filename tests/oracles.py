@@ -9,7 +9,7 @@ from collections import Counter
 from fractions import Fraction
 from functools import cache
 from itertools import permutations
-from math import comb, factorial, prod
+from math import comb, factorial, lcm, prod
 
 from hookshift.identities import IdentityId, g_poly
 from hookshift.partitions import (
@@ -147,15 +147,21 @@ def binomial_difference(constants):
                for k in range(n + 1))
 
 
-def cleared_corner_sum(den, h, mu_h):
-    """The sum over in-corner rows of (H/H_mu) / (x + part(i) - i), cleared
-    by the product of the factors ``den`` and by the product of the H_mu,
-    built term by term."""
-    big = prod(mu_h)
+def cleared_corner_sum(den, weights):
+    """The sum over in-corner rows of weight / (x + part(i) - i), cleared
+    by the product of the factors ``den``, built term by term."""
     return sum(
-        (mul(*den[:k], *den[k + 1:]) * (h * big // hm) for k, hm in enumerate(mu_h)),
+        (mul(*den[:k], *den[k + 1:]) * w for k, w in enumerate(weights)),
         start=ExactPolynomial(),
     )
+
+
+def hook_ratio_clearing(h, mu_h):
+    """D, the lcm of the denominators of the H/H_mu in lowest terms, and
+    the hook weights H * D / H_mu, through Fraction."""
+    ratios = [Fraction(h, hm) for hm in mu_h]
+    d = lcm(*(r.denominator for r in ratios))
+    return d, [r * d for r in ratios]
 
 
 def catalog_sides(identity, lam):
@@ -172,7 +178,7 @@ def catalog_sides(identity, lam):
     den = [linear(lam.part(i) - i) for i in corners.in_corners]
     in_prod = mul(*den)
     out_prod = mul(*(linear(lam.part(i) - i + 1) for i in corners.out_corners))
-    corner_sum = cleared_corner_sum(den, h, mu_h)
+    corner_sum = cleared_corner_sum(den, [h * big // hm for hm in mu_h])
     if identity is IdentityId.THM_1_1:
         rhs = sum((g_poly(mu) * (h * big // hm) for mu, hm in zip(mus, mu_h)), start=ExactPolynomial())
         return [(None, difference(g) * big, rhs)]
@@ -353,28 +359,42 @@ def full_polynomial_sides(identity, ctx):
     identities at a context, as polynomials with no common factor
     cancelled: built by plain polynomial multiplication from the
     context's fault-substituted constants and hook products, with g(x+1)
-    by a shift.  THM_4_2 reads no g, so its sides are the hook-cleared
-    corner sum and quotient numerator."""
-    n, h, big = ctx.n, ctx.h, ctx.mu_h_prod
+    by a shift, and hook ratios cleared by ``hook_ratio_clearing``'s D.
+    THM_4_2 reads no g, so its sides are the hook-cleared corner sum and
+    quotient numerator."""
+    n = ctx.n
+    d, weights = hook_ratio_clearing(ctx.h, ctx.mu_h)
     g = mul(*map(linear, ctx.constants))
     mu_g = [mul(*map(linear, c)) for c in ctx.mu_constants]
     den = [linear(c) for c in ctx.in_constants]
     in_prod = mul(*den)
     out_prod = mul(*(linear(ctx.lam.part(i) - i + 1) for i in ctx.corners.out_corners))
-    corner_sum = cleared_corner_sum(den, h, ctx.mu_h)
+    corner_sum = cleared_corner_sum(den, weights)
     if identity is IdentityId.THM_1_1:
-        rhs = sum((g_mu * (h * big // hm) for g_mu, hm in zip(mu_g, ctx.mu_h)),
-                  start=ExactPolynomial())
-        return [(None, difference(g) * big, rhs)]
+        rhs = sum((g_mu * w for g_mu, w in zip(mu_g, weights)), start=ExactPolynomial())
+        return [(None, difference(g) * d, rhs)]
     if identity is IdentityId.QUOTIENT_4_2:
         return [
             (i, mul(g_mu, linear(c), linear(-n)), mul(g, linear(c - 1)))
             for i, c, g_mu in zip(ctx.corners.in_corners, ctx.in_constants, mu_g)
         ]
     if identity is IdentityId.THM_4_1:
-        rhs = mul(mul(X, g) - mul(linear(-n), g.shift(1)), in_prod) * big
+        rhs = mul(mul(X, g) - mul(linear(-n), g.shift(1)), in_prod) * d
         return [(None, mul(corner_sum, g), rhs)]
     if identity is IdentityId.EQ_4_6:
         return [(None, mul(linear(-n), g.shift(1), in_prod), mul(g, out_prod))]
     assert identity is IdentityId.THM_4_2
-    return [(None, corner_sum, (mul(X, in_prod) - out_prod) * big)]
+    return [(None, corner_sum, (mul(X, in_prod) - out_prod) * d)]
+
+
+def full_corner_ratio_sides(ctx):
+    """CORNER_RATIO_2_2's (corner, lhs, rhs) at a context with no common
+    factor cancelled: H * g_mu(a) against H_mu * g(a+1) at
+    a = i - part(i), each a product over every fault-substituted constant
+    of the context."""
+    out = []
+    for i, c_mu, h_mu in zip(ctx.corners.in_corners, ctx.mu_constants, ctx.mu_h):
+        a = i - ctx.lam.part(i)
+        out.append((i, ctx.h * prod(a + c for c in c_mu),
+                    h_mu * prod(a + 1 + c for c in ctx.constants)))
+    return out

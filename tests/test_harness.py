@@ -257,7 +257,7 @@ def test_one_comparison_site_decides_every_caller(monkeypatch):
         return [(None, 0, 0), (1, 7, 7), (2, 7, 8)]
 
     monkeypatch.setitem(identities._CHECKERS, IdentityId.THM_1_1,
-                        (planted, lambda ctx, lhs, rhs: (lhs, rhs)))
+                        (planted, lambda ctx, corner, lhs, rhs: (lhs, rhs)))
     single = Partition((1,))
     assert [(o.corner_index, o.status, o.lhs, o.rhs)
             for o in check_identity(IdentityId.THM_1_1, single)] == [
@@ -282,20 +282,20 @@ def test_one_comparison_site_decides_every_caller(monkeypatch):
     assert counts == [3 * 5, 5]
 
 
-# The six identities whose sides all carry the product of the removals'
-# hook products, through mu_h_prod, the weights or corner_sum
+# The six identities whose sides all carry the hook ratios' clearing D,
+# through den_lcm, the weights or corner_sum
 HOOK_WEIGHTED = {"THM_1_1", "REC_1_2", "REC_1_3", "THM_4_1", "THM_4_2", "COR_4_4"}
 
 
 def test_zero_sides_fail(monkeypatch, capsys):
-    # a zero product of the removals' hook products, as a bug in
-    # Workspace.context could make, turns six comparisons into 0 == 0;
-    # the sweep itself must fail them, with no help from a test
+    # a zero clearing D, as a bug in Workspace.context could make, turns
+    # six comparisons into 0 == 0; the sweep itself must fail them, with no
+    # help from a test, and reporting them must not raise
     context = identities.Workspace.context
 
     def zeroed(self, lam):
         ctx = context(self, lam)
-        return dataclasses.replace(ctx, mu_h_prod=0, weights=(0,) * len(ctx.weights),
+        return dataclasses.replace(ctx, den_lcm=0, weights=(0,) * len(ctx.weights),
                                    corner_sum=0)
 
     monkeypatch.setattr(identities.Workspace, "context", zeroed)

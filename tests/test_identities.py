@@ -37,9 +37,11 @@ from oracles import (
     cleared_corner_sum,
     corner_quotient_factors,
     difference,
+    full_corner_ratio_sides,
     full_polynomial_sides,
     g_value_by_factors,
     hook_by_box_count,
+    hook_ratio_clearing,
     linear,
     mul,
 )
@@ -488,11 +490,12 @@ def test_unfaulted_workspace_matches_pure_functions():
             assert ctx.mu_h == tuple(hook_product(mu) for mu in mus)
             assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(g_poly(mu) for mu in mus)
             assert Fraction(factorial(n), ctx.h) == syt_count(lam)
-            assert ctx.mu_h_prod == prod(hook_product(mu) for mu in mus)
+            d, weights = hook_ratio_clearing(hook_product(lam), [hook_product(mu) for mu in mus])
+            assert ctx.den_lcm == d and prod(hook_product(mu) for mu in mus) % d == 0
             den = [linear(lam.part(i) - i) for i in ctx.corners.in_corners]
             num = [linear(lam.part(i) - i + 1) for i in ctx.corners.out_corners]
             assert (ctx.decode(ctx.in_prod), ctx.decode(ctx.out_prod)) == (mul(*den), mul(*num))
-            assert ctx.decode(ctx.corner_sum) == cleared_corner_sum(den, ctx.h, ctx.mu_h)
+            assert ctx.decode(ctx.corner_sum) == cleared_corner_sum(den, weights)
 
 
 def _hook_product_by_boxes(lam, fault):
@@ -540,7 +543,8 @@ _REMOVAL_FAULT = Fault(kind="hook", partition=Partition((3, 2)), row=1, col=2, d
     ],
 )
 def test_weights_are_the_other_removals_hook_products(fault, sizes):
-    # removal i's weight is h times every removal's hook product but its own;
+    # removal i's weight is H/H_mu_i times D, the lcm of the denominators of
+    # every H/H_mu in lowest terms, which divides the product of the H_mu;
     # h, the mu_h and the constants are the clean values with the fault's
     # one bump
     reached = set()
@@ -554,8 +558,9 @@ def test_weights_are_the_other_removals_hook_products(fault, sizes):
             assert (ctx.h, ctx.mu_h) == (h, tuple(mu_h)), lam
             assert ctx.constants == _faulted_constants(lam, fault), lam
             assert ctx.mu_constants == tuple(_faulted_constants(mu, fault) for mu in mus), lam
-            assert ctx.weights == tuple(h * prod(mu_h[:i] + mu_h[i + 1:])
-                                        for i in range(len(mu_h))), lam
+            d, weights = hook_ratio_clearing(h, mu_h)
+            assert prod(mu_h) % d == 0 and all(w.denominator == 1 for w in weights), lam
+            assert (ctx.den_lcm, ctx.weights) == (d, tuple(weights)), lam
             if fault is not None and fault.partition in mus:
                 reached.add(lam)
     if fault is _REMOVAL_FAULT:
@@ -692,7 +697,9 @@ def _assert_values_decide(ws, lam):
     assert all(-ctx.n <= a <= ctx.n for a in chain(ctx.in_constants, out_constants)), lam
     b = 2 + max(map(abs, chain(ctx.constants, *ctx.mu_constants, ctx.in_constants,
                                out_constants, (ctx.n,))))
-    assert ctx.x > 2 * max(k, 2) * ctx.h * ctx.mu_h_prod * b ** (u + k + 2), (lam, ws.fault)
+    d, weights = hook_ratio_clearing(ctx.h, ctx.mu_h)
+    assert prod(ctx.mu_h) % d == 0, lam
+    assert ctx.x > 2 * max(k, 2) * max(d, *weights) * b ** (u + k + 2), (lam, ws.fault)
     for identity, full in carries_f.items():
         check, _ = _CHECKERS[identity]
         compared, expected = check(ctx), full_polynomial_sides(identity, ctx)
@@ -709,6 +716,22 @@ def _assert_values_decide(ws, lam):
 def test_values_at_x_decide_the_polynomial_identities():
     for ws, lam in _kronecker_cases():
         _assert_values_decide(ws, lam)
+
+
+def test_reduced_corner_ratio_times_f_is_the_full_product():
+    # CORNER_RATIO_2_2 compares its sides divided by F(a); at every in-corner
+    # row, clean or under a fault, F(a) is nonzero and multiplied back gives
+    # the products over every constant, so the two forms decide alike
+    check, _ = _CHECKERS[IdentityId.CORNER_RATIO_2_2]
+    for ws, lam in _kronecker_cases():
+        ctx = ws.context(lam)
+        compared, expected = check(ctx), full_corner_ratio_sides(ctx)
+        assert [c[0] for c in compared] == [e[0] for e in expected], (lam, ws.fault)
+        for (i, lhs, rhs), (_, full_lhs, full_rhs) in zip(compared, expected):
+            where = (lam, i, ws.fault)
+            f = prod(i - lam.part(i) + c for c in ctx.common)
+            assert f != 0, where
+            assert (lhs * f, rhs * f) == (full_lhs, full_rhs), where
 
 
 @st.composite
