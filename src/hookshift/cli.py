@@ -275,7 +275,7 @@ def _cmd_example(args) -> int:
     print(f"    = ({thm_4_2.rhs}) / {qden}")
     print()
 
-    total = sum(Fraction(hook_product(lam), hook_product(m)) for m in data.removal_list)
+    total = sum(Fraction(hook_product(lam), hook_product(m)) for m in data.removals.values())
     print(f"sum of H/H_mu over all corner removals = {total} = n")
     return 0
 

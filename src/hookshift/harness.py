@@ -68,6 +68,8 @@ class SweepConfig:
         if self.max_n_oracles > self.max_n_theorem_1_2:
             # the oracle runs only at the Schur degrees
             raise ValueError("oracle bound must not exceed the Schur bound")
+        if self.fault is not None and not isinstance(self.fault, Fault):
+            raise TypeError(f"fault must be a Fault or None, got {self.fault!r}")
         if self.fault is not None and self.fault.partition.size > self.max_n_identities:
             raise ValueError(
                 f"fault partition {self.fault.partition} lies beyond "

@@ -108,6 +108,7 @@ from .partitions import (
     corner_sets,
     hook_length,
     hook_product,
+    shifted_part_constants,
     syt_count,
 )
 from .polynomials import ExactPolynomial, product_of_linear_factors, serialize, times_linear_factors
@@ -228,11 +229,6 @@ class Fault:
         return out
 
 
-def shifted_part_constants(lam: Partition) -> list[int]:
-    """The constants part(i) - i for i = 1..n of the g-polynomial factors."""
-    return [p - i for i, p in enumerate(lam, 1)] + [-i for i in range(len(lam) + 1, lam.size + 1)]
-
-
 def g_poly(lam: Partition) -> ExactPolynomial:
     """Monic degree-n product of (x + part(i) - i), i = 1..n; 1 for n = 0."""
     return product_of_linear_factors(shifted_part_constants(lam))
@@ -243,9 +239,9 @@ class PartitionContext:
     """Everything the identity checks read about one nonempty partition.
 
     ``n`` is the size of ``lam``.  ``constants`` holds the constants c_i
-    of g's factors (x + c_i), fault substituted, and ``mu_constants``
-    those of each corner removal's g, in in-corner row order, as ``mu_h``
-    holds their hook products, and ``h`` is the hook product of ``lam``.
+    of g's factors (x + c_i), fault substituted, ``mu_h`` holds the hook
+    products of the corner removals, in in-corner row order, and ``h`` is
+    the hook product of ``lam``.
     ``den_lcm`` is D, the lcm of the denominators of the H/H_mu in lowest
     terms.  The polynomials are held as their values at the power of two
     ``x`` (the X of the module docstring), from which ``decode`` reads
@@ -281,7 +277,6 @@ class PartitionContext:
     g_next: int
     next_constants: list[int]
     mu_h: tuple[int, ...]
-    mu_constants: tuple[list[int], ...]
     mu_unshared: list[list[int]]
     mu_g: tuple[int, ...]
     den_lcm: int
@@ -348,7 +343,7 @@ class Workspace:
         in_constants = tuple(lam[i - 1] - i for i in corners.in_corners)
         out_constants = [lam.part(i) - i + 1 for i in corners.out_corners]
         h, c = self._inputs(lam)
-        mu_h, mu_c = zip(*map(self._removal, corners.removal_list))
+        mu_h, mu_c = zip(*map(self._removal, corners.removals.values()))
         # index k + 1 is shared when its column, g's k-th constant (0-based),
         # g(x+1)'s next one and each removal's k-th, holds a single value
         m = len(mu_c) + 2
@@ -394,7 +389,6 @@ class Workspace:
             prod(map(x.__add__, next_c)),
             next_c,
             mu_h,
-            mu_c,
             mu_u,
             tuple([prod(map(x.__add__, c_mu)) for c_mu in mu_u]),
             d,
@@ -562,6 +556,8 @@ def check_identity(identity: IdentityId, lam: Partition,
         raise TypeError(f"expected IdentityId, got {identity!r}")
     if not isinstance(lam, Partition):
         raise TypeError(f"expected Partition, got {lam!r}")
+    if fault is not None and not isinstance(fault, Fault):
+        raise TypeError(f"expected Fault or None, got {fault!r}")
     if not lam:
         raise PartitionError(f"{identity.value} needs a nonempty partition")
     contexts = [Workspace(fault).context(lam)]

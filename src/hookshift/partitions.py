@@ -1,4 +1,9 @@
-"""Integer partitions, Ferrers diagrams, hook lengths, and corner data.
+"""Integer partitions, Ferrers diagrams, hook lengths, shifted parts, and
+corner data: every per-partition input the identity checks read.
+
+The shifted parts of a partition of n are part(i) - i for i = 1..n, with
+parts read as 0 beyond the last row; they strictly decrease, and they are
+the constants of the g-polynomial's linear factors.
 
 Diagrams are stored in English orientation: row 1 is the longest row and
 legs point downward.  Hook lengths, their products, and everything built
@@ -85,16 +90,13 @@ class CornerData:
     (every row i with part(i) > part(i+1)); ``out_corners`` is
     {1} union {i+1 : i in in_corners}, one element longer.  ``removals``
     maps each in-corner row to the partition left after removing that
-    box.
+    box; dicts keep insertion order, so ``removals.values()`` lists the
+    removed partitions in in-corner row order.
     """
 
     in_corners: tuple[int, ...]
     out_corners: tuple[int, ...]
     removals: dict
-
-    @property
-    def removal_list(self) -> tuple[Partition, ...]:
-        return tuple(self.removals[i] for i in self.in_corners)
 
 
 def _reads_as_compact(digits: str) -> bool:
@@ -131,31 +133,27 @@ def enumerate_partitions(n: int) -> Iterator[Partition]:
     """All partitions of n, exactly once, in reverse-lexicographic order.
 
     The first partition is (n) and the last is (1,...,1); the count is
-    the partition number p(n).
+    the partition number p(n).  Each step drops the trailing 1s, takes
+    one unit from the last part, and refills the freed units greedily
+    with parts no larger than that part's new value.
     """
     if n < 0:
         raise ValueError("n must be nonnegative")
-    if n == 0:
-        yield Partition()
-        return
-    cur = [n]
-    # trusted constructor: every tuple built here is a partition
-    yield tuple.__new__(Partition, cur)
+    cur = [n] if n else []
     while True:
-        i = len(cur) - 1
-        while i >= 0 and cur[i] == 1:
-            i -= 1
-        if i < 0:
-            return
-        rem = len(cur) - i  # the 1s to the right plus the unit taken from cur[i]
-        cur[i] -= 1
-        del cur[i + 1:]
-        m = cur[i]
-        while rem > 0:
-            p = min(m, rem)
-            cur.append(p)
-            rem -= p
+        # trusted constructor: every tuple built here is a partition
         yield tuple.__new__(Partition, cur)
+        ones = 0
+        while cur and cur[-1] == 1:
+            cur.pop()
+            ones += 1
+        if not cur:
+            return
+        cur[-1] = m = cur[-1] - 1
+        q, r = divmod(ones + 1, m)
+        cur += [m] * q
+        if r:
+            cur.append(r)
 
 
 def partition_count(n: int) -> int:
@@ -200,6 +198,12 @@ def hook_lengths(lam: Partition) -> list[list[int]]:
 def hook_product(lam: Partition) -> int:
     """Product of all hook lengths; 1 for the empty partition."""
     return prod(map(prod, _hook_rows(lam)))
+
+
+def shifted_part_constants(lam: Partition) -> list[int]:
+    """The shifted parts part(i) - i for i = 1..n, parts read as 0 past
+    the last row: the constants of the g-polynomial's factors."""
+    return [p - i for i, p in enumerate(lam, 1)] + [-i for i in range(len(lam) + 1, lam.size + 1)]
 
 
 def syt_count(lam: Partition) -> int:

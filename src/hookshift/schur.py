@@ -36,11 +36,11 @@ from fractions import Fraction
 from math import factorial, prod
 from typing import Mapping
 
-from .identities import shifted_part_constants
 from .partitions import (
     Partition,
     enumerate_partitions,
     hook_product,
+    shifted_part_constants,
     single_box_additions,
 )
 from .polynomials import ExactPolynomial, product_of_linear_factors, serialize, times_linear_factors

@@ -18,6 +18,7 @@ from hookshift.partitions import (
     corner_sets,
     enumerate_partitions,
     hook_product,
+    shifted_part_constants,
 )
 from hookshift.polynomials import ExactPolynomial
 
@@ -172,7 +173,7 @@ def catalog_sides(identity, lam):
     n = lam.size
     g, h = g_poly(lam), hook_product(lam)
     corners = corner_sets(lam)
-    mus = corners.removal_list
+    mus = corners.removals.values()
     mu_h = [hook_product(mu) for mu in mus]
     big = prod(mu_h)
     den = [linear(lam.part(i) - i) for i in corners.in_corners]
@@ -354,18 +355,28 @@ def _monomial_p1_row(mu: tuple[int, ...]) -> dict[Partition, int]:
     return out
 
 
-def full_polynomial_sides(identity, ctx):
+def faulted_constants(lam, fault):
+    """shifted_part_constants(lam), with a g-factor fault's delta added at
+    its index."""
+    constants = shifted_part_constants(lam)
+    if fault is not None and fault.kind == "g-factor" and fault.partition == lam:
+        constants[fault.index - 1] += fault.delta
+    return constants
+
+
+def full_polynomial_sides(identity, ctx, fault):
     """(corner, lhs, rhs) for each check of one of the five polynomial
-    identities at a context, as polynomials with no common factor
-    cancelled: built by plain polynomial multiplication from the
-    context's fault-substituted constants and hook products, with g(x+1)
-    by a shift, and hook ratios cleared by ``hook_ratio_clearing``'s D.
-    THM_4_2 reads no g, so its sides are the hook-cleared corner sum and
-    quotient numerator."""
+    identities at a context built under ``fault``, as polynomials with no
+    common factor cancelled: built by plain polynomial multiplication from
+    the context's fault-substituted constants and hook products and each
+    removal's ``faulted_constants``, with g(x+1) by a shift, and hook
+    ratios cleared by ``hook_ratio_clearing``'s D.  THM_4_2 reads no g, so
+    its sides are the hook-cleared corner sum and quotient numerator."""
     n = ctx.n
     d, weights = hook_ratio_clearing(ctx.h, ctx.mu_h)
     g = mul(*map(linear, ctx.constants))
-    mu_g = [mul(*map(linear, c)) for c in ctx.mu_constants]
+    mu_g = [mul(*map(linear, faulted_constants(mu, fault)))
+            for mu in ctx.corners.removals.values()]
     den = [linear(c) for c in ctx.in_constants]
     in_prod = mul(*den)
     out_prod = mul(*(linear(ctx.lam.part(i) - i + 1) for i in ctx.corners.out_corners))
@@ -387,14 +398,16 @@ def full_polynomial_sides(identity, ctx):
     return [(None, corner_sum, (mul(X, in_prod) - out_prod) * d)]
 
 
-def full_corner_ratio_sides(ctx):
-    """CORNER_RATIO_2_2's (corner, lhs, rhs) at a context with no common
-    factor cancelled: H * g_mu(a) against H_mu * g(a+1) at
-    a = i - part(i), each a product over every fault-substituted constant
-    of the context."""
+def full_corner_ratio_sides(ctx, fault):
+    """CORNER_RATIO_2_2's (corner, lhs, rhs) at a context built under
+    ``fault``, with no common factor cancelled: H * g_mu(a) against
+    H_mu * g(a+1) at a = i - part(i), each a product over every
+    fault-substituted constant, the context's for g and
+    ``faulted_constants`` for each removal."""
     out = []
-    for i, c_mu, h_mu in zip(ctx.corners.in_corners, ctx.mu_constants, ctx.mu_h):
+    for i, mu, h_mu in zip(ctx.corners.in_corners, ctx.corners.removals.values(), ctx.mu_h):
         a = i - ctx.lam.part(i)
+        c_mu = faulted_constants(mu, fault)
         out.append((i, ctx.h * prod(a + c for c in c_mu),
                     h_mu * prod(a + 1 + c for c in ctx.constants)))
     return out

@@ -126,7 +126,7 @@ def test_a07_hook_ratio_sum_to_20():
         for lam in enumerate_partitions(n):
             terms = [
                 Fraction(hook_product(lam), hook_product(mu))
-                for mu in corner_sets(lam).removal_list
+                for mu in corner_sets(lam).removals.values()
             ]
             assert sum(terms) == n, lam
             total += 1
@@ -156,7 +156,7 @@ def test_a09_monomial_oracle_and_pieri_adjointness():
         for mu in enumerate_partitions(m):
             image = set(pieri_p1({mu: 1}))
             for lam in partitions_above:
-                assert (lam in image) == (mu in corner_sets(lam).removal_list), (mu, lam)
+                assert (lam in image) == (mu in corner_sets(lam).removals.values()), (mu, lam)
                 pairs += 1
     print(f"[A9] PASS monomial-basis cross-check for n <= 6 and Pieri/corner "
           f"adjointness over {pairs} pairs with |mu| <= 8")

@@ -5,6 +5,7 @@ import json
 import os
 from collections import Counter
 from fractions import Fraction
+from types import SimpleNamespace
 
 import pytest
 
@@ -87,6 +88,13 @@ def test_config_validation():
             max_n_identities=3,
             fault=Fault(kind="hook", partition=Partition((5,)), row=1, col=1),
         )
+    # a fault must be a Fault: a string has no fault fields, and a look-alike
+    # would skip Fault's own checks, here its rule against delta 0
+    look_alike = SimpleNamespace(kind="hook", partition=Partition((2, 1)), row=1, col=1,
+                                 index=0, delta=0)
+    for fault in ("x", look_alike):
+        with pytest.raises(TypeError, match="^fault must be a Fault or None, got "):
+            SweepConfig(fault=fault)
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,7 @@
 from fractions import Fraction
 from itertools import chain
 from math import factorial, prod
+from types import SimpleNamespace
 
 import pytest
 from hypothesis import given, settings
@@ -22,8 +23,8 @@ from hookshift.identities import (
     _CHECKERS,
     VerificationOutcome,
     Workspace,
-    shifted_part_constants,
 )
+from hookshift.partitions import shifted_part_constants
 from hookshift.polynomials import (
     ExactPolynomial,
     ONE,
@@ -37,6 +38,7 @@ from oracles import (
     cleared_corner_sum,
     corner_quotient_factors,
     difference,
+    faulted_constants,
     full_corner_ratio_sides,
     full_polynomial_sides,
     g_value_by_factors,
@@ -200,6 +202,12 @@ def test_check_identity_rejects_non_identity():
 def test_check_identity_rejects_non_partition():
     with pytest.raises(TypeError, match=r"\(2, 1\)"):
         check_identity(IdentityId.THM_1_1, (2, 1))
+    # nor a fault that is not a Fault: "x".partition is a str method, which
+    # would never match the partition, so the check would run unfaulted
+    for fault in ("x", SimpleNamespace(kind="hook", partition=Partition((2, 1)), row=1,
+                                       col=1, index=0, delta=0)):
+        with pytest.raises(TypeError, match="^expected Fault or None, got "):
+            check_identity(IdentityId.THM_1_1, Partition((2, 1)), fault)
 
 
 def test_per_corner_identities_localize():
@@ -356,7 +364,7 @@ def test_cor_4_4_sum_is_exactly_n():
         for lam in enumerate_partitions(n):
             total = sum(
                 Fraction(hook_product(lam), hook_product(mu))
-                for mu in corner_sets(lam).removal_list
+                for mu in corner_sets(lam).removals.values()
             )
             assert total == n
 
@@ -365,7 +373,7 @@ def test_cor_4_4_summands_need_not_be_integers():
     # the sum is n, but individual hook-product ratios can be proper fractions
     lam = Partition((2, 1))
     ratios = [
-        Fraction(hook_product(lam), hook_product(mu)) for mu in corner_sets(lam).removal_list
+        Fraction(hook_product(lam), hook_product(mu)) for mu in corner_sets(lam).removals.values()
     ]
     assert sorted(ratios) == [Fraction(3, 2), Fraction(3, 2)]
     assert sum(ratios) == 3
@@ -381,7 +389,7 @@ def test_top_two_coefficients_vanish_term_by_term():
             dg = g.shift(1) - g
             assert len(dg.coeffs) == n
             assert dg.coeffs[n - 1] == n
-            mus = corner_sets(lam).removal_list
+            mus = corner_sets(lam).removals.values()
             assert Fraction(n, hook_product(lam)) == sum(
                 Fraction(1, hook_product(mu)) for mu in mus
             )
@@ -393,7 +401,7 @@ def test_difference_identity_at_shifted_roots():
         for lam in enumerate_partitions(n):
             g = g_poly(lam)
             h = hook_product(lam)
-            mus = corner_sets(lam).removal_list
+            mus = corner_sets(lam).removals.values()
             for i in range(1, n):
                 a = i - lam.part(i)
                 lhs = Fraction(g(a + 1) - g(a), h)
@@ -455,7 +463,7 @@ def test_hook_fault_changes_only_its_target():
     assert ws.context(Partition((2, 2))).h == hook_product(Partition((2, 2)))
     # the faulted value is what a larger partition reads for that removal
     ctx = ws.context(Partition((3, 1)))
-    assert ctx.corners.removal_list == (Partition((2, 1)), Partition((3,)))
+    assert tuple(ctx.corners.removals.values()) == (Partition((2, 1)), Partition((3,)))
     assert ctx.mu_h == (4, hook_product(Partition((3,))))
 
 
@@ -486,7 +494,7 @@ def test_unfaulted_workspace_matches_pure_functions():
             g = g_poly(lam)
             assert ctx.h == hook_product(lam)
             assert (_full(ctx, ctx.g), _full(ctx, ctx.g_next)) == (g, g.shift(1))
-            mus = ctx.corners.removal_list
+            mus = ctx.corners.removals.values()
             assert ctx.mu_h == tuple(hook_product(mu) for mu in mus)
             assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(g_poly(mu) for mu in mus)
             assert Fraction(factorial(n), ctx.h) == syt_count(lam)
@@ -504,15 +512,6 @@ def _hook_product_by_boxes(lam, fault):
     hit = fault is not None and fault.kind == "hook" and fault.partition == lam
     bump = {(fault.row, fault.col): fault.delta} if hit else {}
     return prod(hook_by_box_count(lam, c) + bump.get(c, 0) for c in lam.cells())
-
-
-def _faulted_constants(lam, fault):
-    """shifted_part_constants(lam), with a g-factor fault's delta added at
-    its index."""
-    constants = shifted_part_constants(lam)
-    if fault is not None and fault.kind == "g-factor" and fault.partition == lam:
-        constants[fault.index - 1] += fault.delta
-    return constants
 
 
 def _small_faults():
@@ -552,12 +551,14 @@ def test_weights_are_the_other_removals_hook_products(fault, sizes):
         ws = Workspace(fault)
         for lam in enumerate_partitions(n):
             ctx = ws.context(lam)
-            mus = ctx.corners.removal_list
+            mus = ctx.corners.removals.values()
             mu_h = [_hook_product_by_boxes(mu, fault) for mu in mus]
             h = _hook_product_by_boxes(lam, fault)
             assert (ctx.h, ctx.mu_h) == (h, tuple(mu_h)), lam
-            assert ctx.constants == _faulted_constants(lam, fault), lam
-            assert ctx.mu_constants == tuple(_faulted_constants(mu, fault) for mu in mus), lam
+            assert ctx.constants == faulted_constants(lam, fault), lam
+            # each removal's g is the product over its faulted constants
+            assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(
+                _faulted_g(mu, fault) for mu in mus), lam
             d, weights = hook_ratio_clearing(h, mu_h)
             assert prod(mu_h) % d == 0 and all(w.denominator == 1 for w in weights), lam
             assert (ctx.den_lcm, ctx.weights) == (d, tuple(weights)), lam
@@ -595,7 +596,7 @@ def test_g_factor_fault_reaches_g_and_g_next(parts, index):
 def _faulted_g(lam, fault):
     """g_poly(lam), or the product of its faulted factors if a g-factor
     fault targets lam."""
-    return product_of_linear_factors(_faulted_constants(lam, fault))
+    return product_of_linear_factors(faulted_constants(lam, fault))
 
 
 @pytest.mark.parametrize(
@@ -625,7 +626,7 @@ def test_reduced_context_times_tail_is_the_full_g(fault):
             g = _faulted_g(lam, fault)
             assert _full(ctx, ctx.g) == g, lam
             assert _full(ctx, ctx.g_next) == g.shift(1), lam
-            mus = ctx.corners.removal_list
+            mus = ctx.corners.removals.values()
             assert tuple(_full(ctx, p) for p in ctx.mu_g) == tuple(_faulted_g(mu, fault) for mu in mus)
             assert len(ctx.common) + len(ctx.decode(ctx.g).coeffs) == n + 1, lam
 
@@ -695,14 +696,15 @@ def _assert_values_decide(ws, lam):
     out_constants = [lam.part(i) - i + 1 for i in ctx.corners.out_corners]
     # the context sizes x without the corner constants, since n covers them
     assert all(-ctx.n <= a <= ctx.n for a in chain(ctx.in_constants, out_constants)), lam
-    b = 2 + max(map(abs, chain(ctx.constants, *ctx.mu_constants, ctx.in_constants,
+    mu_constants = [faulted_constants(mu, ws.fault) for mu in ctx.corners.removals.values()]
+    b = 2 + max(map(abs, chain(ctx.constants, *mu_constants, ctx.in_constants,
                                out_constants, (ctx.n,))))
     d, weights = hook_ratio_clearing(ctx.h, ctx.mu_h)
     assert prod(ctx.mu_h) % d == 0, lam
     assert ctx.x > 2 * max(k, 2) * max(d, *weights) * b ** (u + k + 2), (lam, ws.fault)
     for identity, full in carries_f.items():
         check, _ = _CHECKERS[identity]
-        compared, expected = check(ctx), full_polynomial_sides(identity, ctx)
+        compared, expected = check(ctx), full_polynomial_sides(identity, ctx, ws.fault)
         assert [c[0] for c in compared] == [e[0] for e in expected], (identity, lam)
         for (_, *values), (corner, *sides) in zip(compared, expected):
             where = (identity, lam, corner, ws.fault)
@@ -725,7 +727,7 @@ def test_reduced_corner_ratio_times_f_is_the_full_product():
     check, _ = _CHECKERS[IdentityId.CORNER_RATIO_2_2]
     for ws, lam in _kronecker_cases():
         ctx = ws.context(lam)
-        compared, expected = check(ctx), full_corner_ratio_sides(ctx)
+        compared, expected = check(ctx), full_corner_ratio_sides(ctx, ws.fault)
         assert [c[0] for c in compared] == [e[0] for e in expected], (lam, ws.fault)
         for (i, lhs, rhs), (_, full_lhs, full_rhs) in zip(compared, expected):
             where = (lam, i, ws.fault)
@@ -742,7 +744,7 @@ def _large_cases(draw):
     kind = draw(st.sampled_from((None, "hook", "g-factor")))
     if kind is None:
         return Workspace(), lam
-    target = draw(st.sampled_from((lam, *corner_sets(lam).removal_list)))
+    target = draw(st.sampled_from((lam, *corner_sets(lam).removals.values())))
     if kind == "hook":
         row = draw(st.integers(1, len(target)))
         col = draw(st.integers(1, target[row - 1]))

@@ -136,6 +136,10 @@ def test_enumeration_order_reverse_lexicographic():
     for n in range(9):
         seq = list(enumerate_partitions(n))
         assert seq == sorted(seq, reverse=True)
+    # the brute-force oracle yields reverse-lexicographic order by its
+    # construction, so this pins the exact sequence, not only its sorting
+    for n in range(31):
+        assert list(enumerate_partitions(n)) == list(partitions_bruteforce(n)), n
 
 
 def test_enumeration_complete_and_duplicate_free():
@@ -232,7 +236,7 @@ def test_syt_corner_recurrence():
     for n in range(1, 13):
         for lam in enumerate_partitions(n):
             assert syt_count(lam) == sum(
-                syt_count(mu) for mu in corner_sets(lam).removal_list
+                syt_count(mu) for mu in corner_sets(lam).removals.values()
             )
 
 
@@ -260,9 +264,11 @@ def test_corner_sets_rejects_empty():
 
 
 def test_corner_removals_examples():
-    assert corner_sets(Partition((1,))).removal_list == ((),)
-    assert corner_sets(Partition((2, 2))).removal_list == ((2, 1),)
-    assert set(corner_sets(Partition((5, 5, 3, 3, 1))).removal_list) == {
+    # removals.values() lists the removed partitions in in-corner row order
+    assert tuple(corner_sets(Partition((1,))).removals.values()) == ((),)
+    assert tuple(corner_sets(Partition((2, 2))).removals.values()) == ((2, 1),)
+    assert tuple(corner_sets(Partition((3, 1))).removals.values()) == ((2, 1), (3,))
+    assert set(corner_sets(Partition((5, 5, 3, 3, 1))).removals.values()) == {
         (5, 4, 3, 3, 1),
         (5, 5, 3, 2, 1),
         (5, 5, 3, 3),
@@ -286,7 +292,7 @@ def test_corner_counts_up_to_20():
         for lam in enumerate_partitions(n):
             data = corner_sets(lam)
             assert len(data.out_corners) == len(data.in_corners) + 1
-            removals = data.removal_list
+            removals = data.removals.values()
             assert len(removals) == len(data.in_corners)
             assert all(mu.size == n - 1 for mu in removals)
             assert len(set(removals)) == len(removals)
@@ -294,10 +300,10 @@ def test_corner_counts_up_to_20():
 
 @given(partitions(min_size=1))
 def test_removal_then_addition_round_trip(lam):
-    for mu in corner_sets(lam).removal_list:
+    for mu in corner_sets(lam).removals.values():
         assert lam in single_box_additions(mu)
     for big in single_box_additions(lam):
-        assert lam in corner_sets(big).removal_list
+        assert lam in corner_sets(big).removals.values()
 
 
 # --- conjugation ------------------------------------------------------------
@@ -332,6 +338,6 @@ def test_reciprocal_hook_recurrence_cleared_up_to_20():
     # n * prod of corner hook products == H_lam * sum of partial products
     for n in range(1, 21):
         for lam in enumerate_partitions(n):
-            hooks = [hook_product(mu) for mu in corner_sets(lam).removal_list]
+            hooks = [hook_product(mu) for mu in corner_sets(lam).removals.values()]
             big = prod(hooks)
             assert n * big == hook_product(lam) * sum(big // h for h in hooks)

@@ -97,7 +97,7 @@ def test_pieri_raises_degree_by_one_and_counts_terms():
 def test_pieri_adjoint_to_corner_removal(mu):
     image = set(pieri_p1({mu: 1}))
     for lam in enumerate_partitions(mu.size + 1):
-        assert (lam in image) == (mu in corner_sets(lam).removal_list)
+        assert (lam in image) == (mu in corner_sets(lam).removals.values())
 
 
 def test_p1_e_table():
